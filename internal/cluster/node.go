@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math/rand"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -19,7 +18,6 @@ import (
 	"github.com/halk-kg/halk/internal/resil"
 	"github.com/halk-kg/halk/internal/serve"
 	"github.com/halk-kg/halk/internal/shard"
-	"github.com/halk-kg/halk/internal/sparql"
 )
 
 // FaultStageScan is the node-side fault-injection seam, fired once per
@@ -350,7 +348,8 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return
 	}
-	root, err := n.compile(&req)
+	root, err := serve.Compile(serve.QueryForm{SPARQL: req.SPARQL, Query: req.Query, Structure: req.Structure, Seed: req.Seed},
+		n.cfg.Entities, n.cfg.Relations, n.cfg.Graph)
 	if err != nil {
 		fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -400,46 +399,4 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Version:   res.Version,
 		Answers:   answers,
 	})
-}
-
-// compile resolves the request's query form, mirroring halk-serve's
-// compile (one form exactly).
-func (n *Node) compile(req *QueryRequest) (*query.Node, error) {
-	forms := 0
-	for _, set := range []bool{req.SPARQL != "", req.Query != "", req.Structure != ""} {
-		if set {
-			forms++
-		}
-	}
-	if forms != 1 {
-		return nil, fmt.Errorf("exactly one of \"sparql\", \"query\" or \"structure\" must be set")
-	}
-	switch {
-	case req.SPARQL != "":
-		pq, err := sparql.Parse(req.SPARQL)
-		if err != nil {
-			return nil, err
-		}
-		a := &sparql.Adaptor{Entities: n.cfg.Entities, Relations: n.cfg.Relations}
-		return a.Compile(pq)
-	case req.Query != "":
-		return query.Parse(req.Query, n.cfg.Entities, n.cfg.Relations)
-	default:
-		if n.cfg.Graph == nil {
-			return nil, fmt.Errorf("structure sampling is not enabled on this node")
-		}
-		if !query.HasStructure(req.Structure) {
-			return nil, fmt.Errorf("unknown structure %q; known: %v", req.Structure, query.StructureNames())
-		}
-		seed := req.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		sampler := query.NewSampler(n.cfg.Graph, rand.New(rand.NewSource(seed)))
-		root, ok := sampler.Sample(req.Structure)
-		if !ok {
-			return nil, fmt.Errorf("could not sample a %q query from the node's graph", req.Structure)
-		}
-		return root, nil
-	}
 }

@@ -569,37 +569,6 @@ type remoteLocal struct {
 	failed  bool // at least one replica-local fault contributed
 }
 
-// gatherBound is the router's shared pruning bound: the smallest k-th
-// best distance any range has returned so far this query. Requests ship
-// its current value so late scans (hedges, failover attempts) prune
-// server-side.
-type gatherBound struct{ bits atomic.Uint64 }
-
-func (b *gatherBound) init()         { b.bits.Store(math.Float64bits(math.Inf(1))) }
-func (b *gatherBound) load() float64 { return math.Float64frombits(b.bits.Load()) }
-
-// wire returns the bound in wire form: 0 when no range has answered yet.
-func (b *gatherBound) wire() float64 {
-	v := b.load()
-	if math.IsInf(v, 1) {
-		return 0
-	}
-	return v
-}
-
-func (b *gatherBound) update(v float64) {
-	nb := math.Float64bits(v)
-	for {
-		old := b.bits.Load()
-		if nb >= old {
-			return
-		}
-		if b.bits.CompareAndSwap(old, nb) {
-			return
-		}
-	}
-}
-
 // RankTopK embeds the query, scatters the wire arcs to every range's
 // replica set, and merges the local top-K lists into the global k best
 // — the serve.Ranker entry point. Within a range, failures fail over
@@ -618,8 +587,12 @@ func (rt *Router) RankTopK(ctx context.Context, n *query.Node, k int) (*shard.Re
 	// last real query when no probe query is configured.
 	rt.lastSpecs.Store(&specs)
 
-	var gb gatherBound
-	gb.init()
+	// gb is the gather's shared pruning bound: the smallest k-th best
+	// distance any range has returned so far this query. Requests ship
+	// its current value so late scans (hedges, failover attempts) prune
+	// server-side.
+	var gb shard.Bound
+	gb.Init()
 	tr := obs.FromContext(ctx)
 	locals := make([]remoteLocal, len(rt.ranges))
 	scatterStart := time.Now()
@@ -773,7 +746,7 @@ type attemptResult struct {
 // when every replica is exhausted. Each attempt runs under its own
 // ScanTimeout-derived deadline; losing attempts are abandoned
 // (cancelled), not awaited.
-func (rt *Router) runRange(ctx context.Context, rs *rangeSet, specs []ArcSpec, k int, gb *gatherBound, out *remoteLocal) {
+func (rt *Router) runRange(ctx context.Context, rs *rangeSet, specs []ArcSpec, k int, gb *shard.Bound, out *remoteLocal) {
 	order := rt.plan(rs)
 	if len(order) == 0 {
 		// Every replica is in probation (e.g. a cluster-file swap
@@ -941,8 +914,12 @@ func (rt *Router) hedgeDelayFor(rep *replica) time.Duration {
 // replica is slow" (replica-local fault, feeds failover and the
 // breaker) from "the query died" and "a hedge race was lost" (no
 // outcome, no blame).
-func (rt *Router) scanReplica(actx, qctx context.Context, rep *replica, specs []ArcSpec, k int, gb *gatherBound, out *remoteLocal) {
-	req := &ScanRequest{Arcs: specs, K: k, Bound: gb.wire()}
+func (rt *Router) scanReplica(actx, qctx context.Context, rep *replica, specs []ArcSpec, k int, gb *shard.Bound, out *remoteLocal) {
+	req := &ScanRequest{Arcs: specs, K: k}
+	// On the wire 0 means no bound yet (no range has answered).
+	if b := gb.Load(); !math.IsInf(b, 1) {
+		req.Bound = b
+	}
 	if dl, ok := actx.Deadline(); ok {
 		if ms := int(time.Until(dl) / time.Millisecond); ms > 0 {
 			req.TimeoutMS = ms
@@ -977,7 +954,7 @@ func (rt *Router) scanReplica(actx, qctx context.Context, rep *replica, specs []
 		// A full non-degraded local list: its k-th best upper-bounds the
 		// global k-th best, so later scans (hedges, failovers) can prune
 		// against it.
-		gb.update(resp.Dists[k-1])
+		gb.Update(resp.Dists[k-1])
 	}
 	rep.st.record(elapsed)
 }
@@ -991,25 +968,23 @@ func (rt *Router) scanReplica(actx, qctx context.Context, rep *replica, specs []
 // cached).
 func (rt *Router) merge(locals []remoteLocal, k int) (*shard.Result, error) {
 	res := &shard.Result{Version: rt.version.Load()}
-	total := 0
+	ds := make([][]float64, 0, len(locals))
+	ids := make([][]kg.EntityID, 0, len(locals))
 	skew := false
-	var ver uint64
-	verSet := false
 	for i := range locals {
 		if locals[i].skipped {
 			res.Skipped = append(res.Skipped, i)
 			continue
 		}
-		res.Answered = append(res.Answered, i)
-		total += len(locals[i].d)
 		if locals[i].partial {
 			res.Partial = true
 		}
-		if !verSet {
-			ver, verSet = locals[i].version, true
-		} else if locals[i].version != ver {
+		if len(res.Answered) > 0 && locals[i].version != locals[res.Answered[0]].version {
 			skew = true
 		}
+		res.Answered = append(res.Answered, i)
+		ds = append(ds, locals[i].d)
+		ids = append(ids, locals[i].ids)
 	}
 	if len(res.Answered) == 0 {
 		return nil, shard.ErrAllShardsSkipped
@@ -1017,31 +992,6 @@ func (rt *Router) merge(locals []remoteLocal, k int) (*shard.Result, error) {
 	if len(res.Skipped) > 0 || skew {
 		res.Partial = true
 	}
-
-	if k > total {
-		k = total
-	}
-	res.IDs = make([]kg.EntityID, 0, k)
-	res.Dists = make([]float64, 0, k)
-	heads := make([]int, len(locals))
-	for len(res.IDs) < k {
-		best := -1
-		for _, i := range res.Answered {
-			h := heads[i]
-			if h >= len(locals[i].d) {
-				continue
-			}
-			if best < 0 || locals[i].d[h] < locals[best].d[heads[best]] ||
-				(locals[i].d[h] == locals[best].d[heads[best]] && locals[i].ids[h] < locals[best].ids[heads[best]]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		res.IDs = append(res.IDs, locals[best].ids[heads[best]])
-		res.Dists = append(res.Dists, locals[best].d[heads[best]])
-		heads[best]++
-	}
+	res.IDs, res.Dists = shard.MergeSorted(k, ds, ids)
 	return res, nil
 }

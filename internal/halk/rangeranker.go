@@ -3,29 +3,19 @@ package halk
 import (
 	"fmt"
 
-	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/query"
 	"github.com/halk-kg/halk/internal/shard"
 )
 
-// RangeRanker hosts one contiguous slice [lo, hi) of the model's entity
-// table behind a shard.Engine — the node-local half of the multi-node
+// RangeRanker is a ShardedRanker hosting one contiguous slice [lo, hi)
+// of the model's entity table — the node-local half of the multi-node
 // scatter-gather path. A halk-shard process builds one over the range it
 // was assigned, scans it (optionally sub-sharded across local cores)
 // for every remote scan request, and returns local top-K lists whose
 // entity IDs are global (the engine snapshot is built with Source.Base),
 // so the router can merge node results exactly like in-process shard
 // heaps.
-//
-// Like ShardedRanker, the ranker serves versioned immutable snapshots:
-// Refresh republishes the hosted slice after the model's entity table
-// moves (a checkpoint hot-reload, an online embedding update), and
-// in-flight scans finish on the snapshot they started with.
-type RangeRanker struct {
-	m      *Model
-	eng    *shard.Engine
-	lo, hi int
-}
+type RangeRanker = ShardedRanker
 
 // NewRangeRanker builds a range-hosting engine over entities [lo, hi).
 // opts.Shards sub-shards the hosted slice for local scan parallelism
@@ -35,63 +25,11 @@ func (m *Model) NewRangeRanker(lo, hi int, opts shard.Options) (*RangeRanker, er
 	if n := m.graph.NumEntities(); lo < 0 || hi > n || lo >= hi {
 		return nil, fmt.Errorf("halk: invalid entity range [%d, %d) over %d entities", lo, hi, n)
 	}
-	eng := shard.NewEngine(m.shardParams(), opts)
-	r := &RangeRanker{m: m, eng: eng, lo: lo, hi: hi}
+	r := &RangeRanker{m: m, eng: shard.NewEngine(m.shardParams(), opts), lo: lo, hi: hi}
 	if err := r.Refresh(); err != nil {
 		return nil, err
 	}
 	return r, nil
-}
-
-// Refresh publishes a fresh snapshot of the hosted slice if the model's
-// entity version has moved past the engine's current snapshot. Safe to
-// call concurrently with scanning; returns nil without work when
-// already current.
-func (r *RangeRanker) Refresh() error {
-	return r.refresh(nil)
-}
-
-// RefreshDirty is Refresh with the delta-swap fast path: dirty lists
-// every entity (by global ID) whose row changed since the last
-// published snapshot, and the engine rebuilds only the local sub-shards
-// containing one — dirty entities outside the hosted range leave every
-// sub-shard shared. This is how ingest delta publication propagates
-// through the multi-node path unchanged: each node folds the same dirty
-// set against its own slice. Same contract as
-// ShardedRanker.RefreshDirty.
-func (r *RangeRanker) RefreshDirty(dirty []kg.EntityID) error {
-	d := make([]int32, len(dirty))
-	for i, e := range dirty {
-		d[i] = int32(e)
-	}
-	return r.refresh(d)
-}
-
-func (r *RangeRanker) refresh(dirty []int32) error {
-	ver := r.m.EntityVersion()
-	if ver <= r.eng.Version() {
-		return nil
-	}
-	d := r.m.cfg.Dim
-	// Copy the slice under the ranking read-lock so no row is observed
-	// half-written by a concurrent SetEntityAngles, and re-read the
-	// version while still holding it (see ShardedRanker.Refresh).
-	r.m.rankMu.RLock()
-	angles := append([]float64(nil), r.m.ent.Data[r.lo*d:r.hi*d]...)
-	newVer := r.m.EntityVersion()
-	if dirty != nil && newVer != ver {
-		// A racing update's rows are in the copy but not in the caller's
-		// dirty set; fall back to a full rebuild for this publish.
-		dirty = nil
-	}
-	ver = newVer
-	r.m.rankMu.RUnlock()
-
-	group := make([]int32, r.hi-r.lo)
-	for e := r.lo; e < r.hi; e++ {
-		group[e-r.lo] = int32(r.m.groups.GroupOf(kg.EntityID(e)))
-	}
-	return r.eng.Swap(shard.Source{Angles: angles, Group: group, Version: ver, Base: r.lo, Dirty: dirty})
 }
 
 // Engine exposes the underlying shard engine (the scan entry point for
@@ -100,9 +38,6 @@ func (r *RangeRanker) Engine() *shard.Engine { return r.eng }
 
 // Range reports the hosted global entity ID range [lo, hi).
 func (r *RangeRanker) Range() (lo, hi int) { return r.lo, r.hi }
-
-// Close drains the engine's in-flight scan goroutines.
-func (r *RangeRanker) Close() { r.eng.Close() }
 
 // ShardParams exports the model's scoring constants in the shard
 // engine's form, so a frontend can prepare wire-shipped arcs

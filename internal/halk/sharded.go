@@ -22,22 +22,21 @@ import (
 // they start, and Refresh publishes a new one atomically after entity
 // updates. Build one with Model.NewShardedRanker after training and call
 // Refresh whenever EntityVersion has moved.
+//
+// The engine hosts the contiguous global entity ID range [lo, hi): the
+// whole table for NewShardedRanker, one node's slice for NewRangeRanker
+// (see RangeRanker).
 type ShardedRanker struct {
-	m   *Model
-	eng *shard.Engine
+	m      *Model
+	eng    *shard.Engine
+	lo, hi int
 }
 
 // NewShardedRanker builds a sharded ranking engine over the model's
-// current entity table. shards < 1 means one shard; opts.ANN non-nil
-// additionally builds per-shard LSH bucket indexes enabling
-// TopKApprox. The initial snapshot is published before returning.
+// current entity table. opts.Shards < 1 means one shard. The initial
+// snapshot is published before returning.
 func (m *Model) NewShardedRanker(opts shard.Options) (*ShardedRanker, error) {
-	eng := shard.NewEngine(m.shardParams(), opts)
-	r := &ShardedRanker{m: m, eng: eng}
-	if err := r.Refresh(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return m.NewRangeRanker(0, m.graph.NumEntities(), opts)
 }
 
 // Refresh publishes a fresh snapshot of the entity table if its version
@@ -52,11 +51,14 @@ func (r *ShardedRanker) Refresh() error {
 // every entity whose row changed since the last published snapshot (for
 // example FineTuneResult.DirtyEntities), and the engine rebuilds only
 // the shards containing one, sharing the rest with the previous
-// snapshot. The published result is byte-identical to a full Refresh —
-// the savings are build cost (trig tables + ANN index only for touched
-// shards), not served answers. An empty dirty set still republishes the
-// new version. The dirty contract is the caller's: an entity whose row
-// changed but is not listed would be served from a stale shard.
+// snapshot. Dirty IDs are global, so entities outside the hosted range
+// leave every shard shared — each cluster node folds the same dirty set
+// against its own slice. The published result is byte-identical to a
+// full Refresh — the savings are build cost (trig tables only for
+// touched shards), not served answers. An empty dirty set still
+// republishes the new version. The dirty contract is the caller's: an
+// entity whose row changed but is not listed would be served from a
+// stale shard.
 func (r *ShardedRanker) RefreshDirty(dirty []kg.EntityID) error {
 	d := make([]int32, len(dirty))
 	for i, e := range dirty {
@@ -70,31 +72,30 @@ func (r *ShardedRanker) refresh(dirty []int32) error {
 	if ver <= r.eng.Version() {
 		return nil
 	}
-	// Copy the table under the ranking read-lock so no row is observed
-	// half-written by a concurrent SetEntityAngles.
+	d := r.m.cfg.Dim
+	// Copy the hosted rows under the ranking read-lock so no row is
+	// observed half-written by a concurrent SetEntityAngles.
 	r.m.rankMu.RLock()
-	angles := append([]float64(nil), r.m.ent.Data...)
+	angles := append([]float64(nil), r.m.ent.Data[r.lo*d:r.hi*d]...)
 	// Re-read the version while still holding the lock: if an update
 	// raced in between the first load and the lock, the copy may already
 	// contain it — stamping the later version is correct either way
 	// because the copy is at least as new as `ver`.
 	newVer := r.m.EntityVersion()
 	if dirty != nil && newVer != ver {
-		// An update raced in between the version load and the copy; its
-		// touched rows are in the copy but not in the caller's dirty set,
-		// so the delta contract no longer holds. Fall back to a full
-		// rebuild for this publish.
+		// The racing update's touched rows are in the copy but not in the
+		// caller's dirty set, so the delta contract no longer holds. Fall
+		// back to a full rebuild for this publish.
 		dirty = nil
 	}
 	ver = newVer
 	r.m.rankMu.RUnlock()
 
-	n := r.m.graph.NumEntities()
-	group := make([]int32, n)
-	for e := 0; e < n; e++ {
-		group[e] = int32(r.m.groups.GroupOf(kg.EntityID(e)))
+	group := make([]int32, r.hi-r.lo)
+	for e := r.lo; e < r.hi; e++ {
+		group[e-r.lo] = int32(r.m.groups.GroupOf(kg.EntityID(e)))
 	}
-	return r.eng.Swap(shard.Source{Angles: angles, Group: group, Version: ver, Dirty: dirty})
+	return r.eng.Swap(shard.Source{Angles: angles, Group: group, Version: ver, Base: r.lo, Dirty: dirty})
 }
 
 // RankTopK embeds the query and ranks the k best answers through the
@@ -134,19 +135,6 @@ func (r *ShardedRanker) RankBatch(ctx context.Context, roots []*query.Node, ks [
 	r.m.rankMu.RUnlock()
 	obs.FromContext(ctx).Observe(obs.StagePrepareArcs, time.Since(begin))
 	return r.eng.RankBatch(ctx, items)
-}
-
-// RankTopKApprox is the ANN-accelerated variant: each shard ranks only
-// its bucket-index candidates. Requires Options.ANN at engine build.
-func (r *ShardedRanker) RankTopKApprox(ctx context.Context, n *query.Node, k int) (*shard.Result, error) {
-	arcs := r.prepare(n)
-	return r.eng.TopKApprox(ctx, arcs, k)
-}
-
-// PoolSize reports the total ANN candidate-pool size across shards for
-// the query (the work TopKApprox would do).
-func (r *ShardedRanker) PoolSize(n *query.Node) int {
-	return r.eng.PoolSize(r.prepare(n))
 }
 
 func (r *ShardedRanker) prepare(n *query.Node) []shard.Arc {

@@ -2,24 +2,21 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
-	"github.com/halk-kg/halk/internal/obs"
 	"github.com/halk-kg/halk/internal/query"
 	"github.com/halk-kg/halk/internal/shard"
 )
 
 // BatchRanker is the optional batched extension of Ranker: when
-// Config.Ranker implements it, /v1/batch ranks all cache-missing
-// queries of a request through one RankBatch call, so every shard
-// sweeps its entity blocks once for the whole batch instead of once per
-// query. halk.ShardedRanker implements it; rankers that do not (for
-// example the cluster router, whose backends are remote) are served by
-// a per-query RankTopK loop with identical results.
+// Config.Ranker implements it, a request with more than one
+// cache-missing query ranks them through one RankBatch call, so every
+// shard sweeps its entity blocks once for the whole batch instead of
+// once per query. halk.ShardedRanker implements it; rankers that do not
+// (the default full scan; the cluster router, whose backends are
+// remote) are served by a per-query RankTopK loop with identical
+// results.
 type BatchRanker interface {
 	Ranker
 	// RankBatch ranks roots[i] at ks[i] for every i in one shard
@@ -53,10 +50,11 @@ type batchRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// batchResult is one query's slot in the POST /v1/batch reply, in
-// request order. Partial-result semantics are per query: a shard
-// deadline miss degrades only the queries ranked in that gather, and a
-// partial slot is never cached.
+// batchResult is one query's slot in the request pipeline (see
+// request.answer) and, through its exported fields, in the POST
+// /v1/batch reply, in request order. Partial-result semantics are per
+// query: a shard deadline miss degrades only the queries ranked in that
+// gather, and a partial slot is never cached.
 type batchResult struct {
 	Query          string   `json:"query"`
 	Canonical      string   `json:"canonical"`
@@ -66,6 +64,9 @@ type batchResult struct {
 	Partial        bool     `json:"partial,omitempty"`
 	ShardsAnswered []int    `json:"shards_answered,omitempty"`
 	Answers        []Answer `json:"answers"`
+
+	root *query.Node
+	key  string // answer-cache key
 }
 
 // batchResponse is the POST /v1/batch reply.
@@ -78,235 +79,51 @@ type batchResponse struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	tr := obs.NewTrace()
-	status := http.StatusOK
-	defer func() {
-		s.metrics.observe("/v1/batch", time.Since(start), status >= 400)
-	}()
-	fail := func(code int, format string, args ...any) {
-		status = code
-		WriteJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
-	}
-
-	if r.Method != http.MethodPost {
-		fail(http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	debugTrace := r.URL.Query().Get("debug") == "trace"
-	tr.Begin(obs.StageParse)
+	q := s.begin(w, r, "/v1/batch", "batch")
+	defer q.done()
 	var req batchRequest
-	if code, err := s.decodeBody(w, r, &req); err != nil {
-		fail(code, "%v", err)
+	if !q.decode(&req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		fail(http.StatusBadRequest, "\"queries\" must list at least one query")
+		q.fail(http.StatusBadRequest, "\"queries\" must list at least one query")
 		return
 	}
 	if len(req.Queries) > s.cfg.MaxBatch {
-		fail(http.StatusBadRequest, "batch of %d queries exceeds the %d-query limit", len(req.Queries), s.cfg.MaxBatch)
+		q.fail(http.StatusBadRequest, "batch of %d queries exceeds the %d-query limit", len(req.Queries), s.cfg.MaxBatch)
 		return
 	}
 
 	// Compile every item up front: one malformed query fails the whole
 	// batch before any ranking work is spent, so a 200 always carries a
 	// slot for every requested query.
-	roots := make([]*query.Node, len(req.Queries))
-	ks := make([]int, len(req.Queries))
+	slots := make([]batchResult, len(req.Queries))
 	for i, it := range req.Queries {
-		root, err := s.compile(&queryRequest{
-			SPARQL: it.SPARQL, Query: it.Query, Structure: it.Structure, Seed: it.Seed,
-		})
+		root, err := Compile(QueryForm{SPARQL: it.SPARQL, Query: it.Query, Structure: it.Structure, Seed: it.Seed},
+			s.cfg.Entities, s.cfg.Relations, s.cfg.Graph)
 		if err != nil {
-			fail(http.StatusBadRequest, "queries[%d]: %v", i, err)
+			q.fail(http.StatusBadRequest, "queries[%d]: %v", i, err)
 			return
 		}
-		roots[i] = root
 		k := it.K
 		if k <= 0 {
 			k = req.K
 		}
-		if k <= 0 {
-			k = s.cfg.DefaultK
-		}
-		if k > s.cfg.MaxK {
-			k = s.cfg.MaxK
-		}
-		ks[i] = k
-	}
-	tr.Begin(obs.StageCanonicalize)
-
-	version := s.answerVersion("exact")
-	results := make([]batchResult, len(roots))
-	keys := make([]string, len(roots))
-	for i, root := range roots {
-		canonical := query.CanonicalKey(root)
-		keys[i] = fmt.Sprintf("v%d|%s|exact|k=%d", version, canonical, ks[i])
-		results[i] = batchResult{
-			Query:     root.String(),
-			Canonical: canonical,
-			Structure: req.Queries[i].Structure,
-			K:         ks[i],
-		}
+		slots[i] = batchResult{root: root, Structure: it.Structure, K: k}
 	}
 
-	// Per-query cache lookups: only the misses are ranked, and the batch
-	// shares its key namespace with /v1/query, so a query answered either
-	// way warms the cache for both.
-	tr.Begin(obs.StageCacheLookup)
-	var miss []int
-	for i := range results {
-		var cached []Answer
-		var ok bool
-		if err := s.cfg.Faults.Fire(FaultStageCacheGet, 0); err == nil {
-			cached, ok = s.cache.Get(keys[i])
-		}
-		if ok {
-			results[i].Cached = true
-			results[i].Answers = cached
-		} else {
-			miss = append(miss, i)
-		}
+	hits, ok := q.answer("exact", req.TimeoutMS, slots)
+	s.metrics.observeBatch(len(slots), hits)
+	if !ok {
+		return
 	}
-	tr.End()
-	s.metrics.observeBatch(len(roots), len(roots)-len(miss))
-
-	if len(miss) > 0 {
-		timeout := s.cfg.DefaultTimeout
-		if req.TimeoutMS > 0 {
-			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-
-		// The admission gate sees the batch as one unit of ranking work:
-		// it occupies one pool worker for one (batched) scan.
-		var svcMs float64
-		if s.gate != nil {
-			release, retryAfter, admitted := s.gate.admit(ctx)
-			if !admitted {
-				secs := int(retryAfter/time.Second) + 1
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
-				fail(http.StatusTooManyRequests,
-					"expected queue wait %v exceeds the request deadline; retry later", retryAfter.Round(time.Millisecond))
-				return
-			}
-			defer func() { release(svcMs) }()
-		}
-
-		ctx = obs.NewContext(ctx, tr)
-		tr.Begin(obs.StageQueueWait)
-		var rankErr error
-		poolErr := s.pool.Do(ctx, func() {
-			tr.End()
-			svcStart := time.Now()
-			rankErr = s.rankBatch(ctx, roots, ks, miss, results)
-			svcMs = float64(time.Since(svcStart)) / float64(time.Millisecond)
-		})
-		if err := firstErr(poolErr, rankErr); err != nil {
-			var pe *PanicError
-			switch {
-			case errors.As(err, &pe):
-				s.metrics.workerPanics.Inc()
-				s.cfg.PanicLog.Printf("serve: recovered panic on ranking worker: %v\n%s", pe.Value, pe.Stack)
-				fail(http.StatusInternalServerError, "internal error while ranking")
-			case errors.Is(err, errPoolClosed):
-				fail(http.StatusServiceUnavailable, "server is draining")
-			case errors.Is(err, shard.ErrAllShardsSkipped):
-				fail(http.StatusGatewayTimeout, "every shard missed its deadline")
-			case errors.Is(err, context.DeadlineExceeded):
-				fail(http.StatusGatewayTimeout, "batch exceeded its %v deadline", timeout)
-			default:
-				fail(http.StatusServiceUnavailable, "%v", err)
-			}
-			return
-		}
-
-		for _, i := range miss {
-			if results[i].Partial {
-				// Same contract as /v1/query: a partial ranking is valid
-				// for this response only and must not outlive the slow
-				// shard that caused it.
-				continue
-			}
-			if err := s.cfg.Faults.Fire(FaultStageCachePut, 0); err == nil {
-				s.cache.Put(keys[i], results[i].Answers)
-			}
-		}
-	}
-
-	resp := batchResponse{
-		Count:     len(results),
-		CacheHits: len(results) - len(miss),
-		ElapsedMs: tr.TotalMs(),
-		Results:   results,
-	}
-	if debugTrace {
-		resp.Debug = &debugInfo{Trace: tr.Stages(), TotalMs: resp.ElapsedMs}
-	}
-	encStart := time.Now()
-	WriteJSON(w, http.StatusOK, resp)
-	tr.Observe(obs.StageEncode, time.Since(encStart))
-	s.metrics.observeTrace(tr)
-	if thr := s.cfg.SlowQuery; thr > 0 && resp.ElapsedMs >= float64(thr)/float64(time.Millisecond) {
-		s.metrics.slow.Inc()
-		s.cfg.SlowLog.Printf("serve: slow batch (%.1fms >= %v): %d queries, %d cached, trace: %s",
-			resp.ElapsedMs, thr, resp.Count, resp.CacheHits, tr)
-	}
+	q.finish(&batchResponse{Count: len(slots), CacheHits: hits, Results: slots})
 }
 
-// rankBatch runs on a pool worker and fills results[i] for every i in
-// miss. When the configured ranker batches (BatchRanker), all misses go
-// through one RankBatch gather; otherwise each miss ranks alone through
-// the same per-query path /v1/query uses, so the endpoint works — with
-// identical answers — against any ranker, including none.
-func (s *Server) rankBatch(ctx context.Context, roots []*query.Node, ks []int, miss []int, results []batchResult) error {
-	if err := s.cfg.Faults.Fire(FaultStageRank, 0); err != nil {
-		return err
-	}
-	if br, ok := s.cfg.Ranker.(BatchRanker); ok {
-		mroots := make([]*query.Node, len(miss))
-		mks := make([]int, len(miss))
-		for j, i := range miss {
-			mroots[j] = roots[i]
-			mks[j] = ks[i]
-		}
-		rs, err := br.RankBatch(ctx, mroots, mks)
-		if err != nil {
-			return err
-		}
-		begin := time.Now()
-		for j, i := range miss {
-			results[i].Answers = s.labelAnswers(rs[j])
-			results[i].Partial = rs[j].Partial
-			results[i].ShardsAnswered = rs[j].Answered
-		}
-		obs.FromContext(ctx).Observe(obs.StageEncode, time.Since(begin))
-		return nil
-	}
-	for _, i := range miss {
-		answers, sharded, err := s.rank(ctx, roots[i], ks[i], "exact")
-		if err != nil {
-			return err
-		}
-		results[i].Answers = answers
-		if sharded != nil && sharded.Partial {
-			results[i].Partial = true
-			results[i].ShardsAnswered = sharded.Answered
-		}
-	}
-	return nil
+func (resp *batchResponse) stamp(elapsedMs float64, debug *debugInfo) {
+	resp.ElapsedMs, resp.Debug = elapsedMs, debug
 }
 
-// labelAnswers turns a shard result into the response answer list,
-// resolving entity names; identical labelling to the /v1/query sharded
-// path.
-func (s *Server) labelAnswers(res *shard.Result) []Answer {
-	answers := make([]Answer, len(res.IDs))
-	for i, e := range res.IDs {
-		dist := res.Dists[i]
-		answers[i] = Answer{ID: e, Entity: s.cfg.Entities.Name(int32(e)), Distance: &dist}
-	}
-	return answers
+func (resp *batchResponse) slowLine() string {
+	return fmt.Sprintf("%d queries, %d cached,", resp.Count, resp.CacheHits)
 }

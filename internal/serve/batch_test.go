@@ -12,6 +12,7 @@ import (
 	"github.com/halk-kg/halk/internal/halk"
 	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/query"
+	"github.com/halk-kg/halk/internal/resil"
 	"github.com/halk-kg/halk/internal/shard"
 )
 
@@ -240,6 +241,123 @@ func TestBatchPartialSlotsNeverCached(t *testing.T) {
 	again, _ := postBatch(t, ts, req)
 	if again.Results[0].Cached {
 		t.Fatal("repeat of a partial slot was served from cache")
+	}
+}
+
+// loneRanker hides its inner ranker's RankBatch, leaving a Ranker that
+// is not a BatchRanker (the cluster router's shape).
+type loneRanker struct{ Ranker }
+
+// TestOnePipelineAcrossRankers pins that /v1/query is a batch of one:
+// for every kind of ranker, the same query through /v1/query, a one-item
+// /v1/batch and a three-item /v1/batch returns identical answers, the
+// endpoints share one cache entry whichever ran first, a partial slot is
+// never cached, and the cache-get / rank / cache-put fault seams fire
+// exactly once per looked-up / ranked / stored query on both endpoints.
+func TestOnePipelineAcrossRankers(t *testing.T) {
+	sharded := func(t *testing.T, cfg *Config) Ranker {
+		r, err := cfg.Model.(*halk.Model).NewShardedRanker(shard.Options{Shards: 2})
+		if err != nil {
+			t.Fatalf("NewShardedRanker: %v", err)
+		}
+		return r
+	}
+	cases := []struct {
+		name    string
+		ranker  func(*testing.T, *Config) Ranker
+		partial bool
+	}{
+		{name: "full-scan default", ranker: func(*testing.T, *Config) Ranker { return nil }},
+		{name: "sharded", ranker: sharded},
+		{name: "partial stub", ranker: func(*testing.T, *Config) Ranker { return partialRanker{} }, partial: true},
+		{name: "no RankBatch", ranker: func(t *testing.T, cfg *Config) Ranker { return loneRanker{sharded(t, cfg)} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := resil.NewInjector()
+			// A zero-length delay is a no-op fault that Fired still counts.
+			for _, stage := range []string{FaultStageCacheGet, FaultStageRank, FaultStageCachePut} {
+				inj.Set(stage, 0, resil.Fault{Kind: resil.KindDelay})
+			}
+			srv, _, ds, ts := newTestServer(t, func(cfg *Config) {
+				cfg.Faults = inj
+				cfg.Ranker = tc.ranker(t, cfg)
+			})
+			const k = 5
+			a, b, c := dslFor(ds, 1, 4), dslFor(ds, 3, 17), dslFor(ds, 2, 8)
+			one := func(q string) queryResponse {
+				t.Helper()
+				qr, code := postQuery(t, ts, queryRequest{Query: q, K: k})
+				if code != http.StatusOK {
+					t.Fatalf("/v1/query: status %d", code)
+				}
+				return qr
+			}
+			batch := func(qs ...string) []batchResult {
+				t.Helper()
+				req := batchRequest{K: k}
+				for _, q := range qs {
+					req.Queries = append(req.Queries, batchItem{Query: q})
+				}
+				br, code := postBatch(t, ts, req)
+				if code != http.StatusOK {
+					t.Fatalf("/v1/batch: status %d", code)
+				}
+				return br.Results
+			}
+			// ranked asserts a slot came from ranking, not the cache.
+			ranked := func(label string, cached, partial bool) {
+				t.Helper()
+				if cached || partial != tc.partial {
+					t.Fatalf("%s: cached=%v partial=%v, want a ranked slot with partial=%v", label, cached, partial, tc.partial)
+				}
+			}
+			// shared asserts a repeat hit the entry the other endpoint
+			// stored — or, for a partial ranking, that nothing was stored.
+			shared := func(label string, cached bool) {
+				t.Helper()
+				if cached == tc.partial {
+					t.Fatalf("%s: cached=%v with partial=%v", label, cached, tc.partial)
+				}
+			}
+
+			lone := one(a)
+			ranked("query", lone.Cached, lone.Partial)
+			shared("query after query", one(a).Cached)
+
+			srv.FlushCache()
+			b1 := batch(a)
+			ranked("batch of one", b1[0].Cached, b1[0].Partial)
+			assertBatchSlotEqualsQuery(t, "batch of one", b1[0], lone)
+			shared("query after batch", one(a).Cached)
+
+			srv.FlushCache()
+			b3 := batch(a, b, c)
+			for i := range b3 {
+				ranked(fmt.Sprintf("batch of three slot %d", i), b3[i].Cached, b3[i].Partial)
+			}
+			assertBatchSlotEqualsQuery(t, "batch of three", b3[0], lone)
+			shared("batch after batch", batch(a)[0].Cached)
+			again := one(b)
+			shared("query after batch of three", again.Cached)
+			assertBatchSlotEqualsQuery(t, "batch of three slot 1", b3[1], again)
+
+			// Nine queries were looked up. Without partials five of them
+			// ranked (one + one + three) and were stored; a partial ranker
+			// stores nothing, so all nine ranked.
+			wantRank, wantPut := uint64(5), uint64(5)
+			if tc.partial {
+				wantRank, wantPut = 9, 0
+			}
+			for _, w := range []struct {
+				stage string
+				want  uint64
+			}{{FaultStageCacheGet, 9}, {FaultStageRank, wantRank}, {FaultStageCachePut, wantPut}} {
+				if got := inj.Fired(w.stage); got != w.want {
+					t.Errorf("%s fired %d times, want %d", w.stage, got, w.want)
+				}
+			}
+		})
 	}
 }
 

@@ -1,13 +1,10 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"time"
 
 	"github.com/halk-kg/halk/internal/ckpt"
@@ -110,42 +107,17 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	tr := obs.NewTrace()
-	status := http.StatusOK
-	defer func() {
-		s.metrics.observe("/v1/query", time.Since(start), status >= 400)
-	}()
-	fail := func(code int, format string, args ...any) {
-		status = code
-		WriteJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
-	}
-
-	if r.Method != http.MethodPost {
-		fail(http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	debugTrace := r.URL.Query().Get("debug") == "trace"
-	tr.Begin(obs.StageParse)
+	q := s.begin(w, r, "/v1/query", "query")
+	defer q.done()
 	var req queryRequest
-	if code, err := s.decodeBody(w, r, &req); err != nil {
-		fail(code, "%v", err)
+	if !q.decode(&req) {
 		return
 	}
-
-	root, err := s.compile(&req)
+	root, err := Compile(QueryForm{SPARQL: req.SPARQL, Query: req.Query, Structure: req.Structure, Seed: req.Seed},
+		s.cfg.Entities, s.cfg.Relations, s.cfg.Graph)
 	if err != nil {
-		fail(http.StatusBadRequest, "%v", err)
+		q.fail(http.StatusBadRequest, "%v", err)
 		return
-	}
-	tr.Begin(obs.StageCanonicalize)
-
-	k := req.K
-	if k <= 0 {
-		k = s.cfg.DefaultK
-	}
-	if k > s.cfg.MaxK {
-		k = s.cfg.MaxK
 	}
 	mode := req.Mode
 	if mode == "" {
@@ -155,147 +127,57 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case "exact":
 	case "approx":
 		if s.approxAnswerer() == nil {
-			fail(http.StatusBadRequest, "approx mode is not enabled on this server")
+			q.fail(http.StatusBadRequest, "approx mode is not enabled on this server")
 			return
 		}
 	default:
-		fail(http.StatusBadRequest, "unknown mode %q (want \"exact\" or \"approx\")", mode)
+		q.fail(http.StatusBadRequest, "unknown mode %q (want \"exact\" or \"approx\")", mode)
 		return
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	canonical := query.CanonicalKey(root)
-	cacheKey := fmt.Sprintf("v%d|%s|%s|k=%d", s.answerVersion(mode), canonical, mode, k)
-	resp := queryResponse{
-		Query:     root.String(),
-		Canonical: canonical,
-		Structure: req.Structure,
-		Mode:      mode,
-		K:         k,
-	}
-
-	tr.Begin(obs.StageCacheLookup)
-	var cached []Answer
-	var ok bool
-	if err := s.cfg.Faults.Fire(FaultStageCacheGet, 0); err == nil {
-		// An injected cache-get error degrades to a miss: the request is
-		// answered by ranking, never failed by its cache.
-		cached, ok = s.cache.Get(cacheKey)
-	}
-	tr.End()
-	if ok {
-		resp.Cached = true
-		resp.Answers = cached
-		s.finish(w, &resp, tr, debugTrace)
+	slots := []batchResult{{root: root, Structure: req.Structure, K: req.K}}
+	if _, ok := q.answer(mode, req.TimeoutMS, slots); !ok {
 		return
 	}
-
-	// svcMs is the ranking service time this request observed, fed back
-	// into the admission gate's EWMA on release (0 = request never ranked).
-	var svcMs float64
-	if s.gate != nil {
-		release, retryAfter, admitted := s.gate.admit(ctx)
-		if !admitted {
-			secs := int(retryAfter/time.Second) + 1
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			fail(http.StatusTooManyRequests,
-				"expected queue wait %v exceeds the request deadline; retry later", retryAfter.Round(time.Millisecond))
-			return
-		}
-		defer func() { release(svcMs) }()
-	}
-
-	// The trace rides the context so the ranking layers (worker pool,
-	// sharded engine, full scan) annotate their own stages onto it.
-	ctx = obs.NewContext(ctx, tr)
-	tr.Begin(obs.StageQueueWait)
-	var answers []Answer
-	var sharded *shard.Result
-	var rankErr error
-	poolErr := s.pool.Do(ctx, func() {
-		tr.End() // a worker picked the task up: queue wait is over
-		svcStart := time.Now()
-		answers, sharded, rankErr = s.rank(ctx, root, k, mode)
-		svcMs = float64(time.Since(svcStart)) / float64(time.Millisecond)
+	sl := &slots[0]
+	q.finish(&queryResponse{
+		Query:          sl.Query,
+		Canonical:      sl.Canonical,
+		Structure:      sl.Structure,
+		Mode:           mode,
+		K:              sl.K,
+		Cached:         sl.Cached,
+		Partial:        sl.Partial,
+		ShardsAnswered: sl.ShardsAnswered,
+		Answers:        sl.Answers,
 	})
-	if err := firstErr(poolErr, rankErr); err != nil {
-		var pe *PanicError
-		switch {
-		case errors.As(err, &pe):
-			// The worker recovered the panic and survives; this request is
-			// the only casualty.
-			s.metrics.workerPanics.Inc()
-			s.cfg.PanicLog.Printf("serve: recovered panic on ranking worker: %v\n%s", pe.Value, pe.Stack)
-			fail(http.StatusInternalServerError, "internal error while ranking")
-		case errors.Is(err, errPoolClosed):
-			fail(http.StatusServiceUnavailable, "server is draining")
-		case errors.Is(err, shard.ErrAllShardsSkipped):
-			fail(http.StatusGatewayTimeout, "every shard missed its deadline")
-		case errors.Is(err, context.DeadlineExceeded):
-			fail(http.StatusGatewayTimeout, "query exceeded its %v deadline", timeout)
-		default:
-			fail(http.StatusServiceUnavailable, "%v", err)
-		}
-		return
-	}
-
-	if sharded != nil && sharded.Partial {
-		// A partial ranking is a degraded answer, valid for this response
-		// only: caching it would keep serving the degraded list even once
-		// the slow shard recovers. Breaker-skipped shards and lost hedges
-		// surface as Partial too, so results produced under an open
-		// breaker are likewise never cached.
-		resp.Partial = true
-		resp.ShardsAnswered = sharded.Answered
-	} else if err := s.cfg.Faults.Fire(FaultStageCachePut, 0); err == nil {
-		// An injected cache-put error skips the store; the response is
-		// still served.
-		s.cache.Put(cacheKey, answers)
-	}
-	resp.Answers = answers
-	s.finish(w, &resp, tr, debugTrace)
 }
 
-// finish stamps the elapsed time (and, on request, the stage trace)
-// onto resp, encodes it, folds the trace into the per-stage latency
-// histograms, and emits the slow-query log line when the request blew
-// the threshold.
-func (s *Server) finish(w http.ResponseWriter, resp *queryResponse, tr *obs.Trace, debugTrace bool) {
-	resp.ElapsedMs = tr.TotalMs()
-	if debugTrace {
-		resp.Debug = &debugInfo{Trace: tr.Stages(), TotalMs: resp.ElapsedMs}
-	}
-	encStart := time.Now()
-	WriteJSON(w, http.StatusOK, resp)
-	tr.Observe(obs.StageEncode, time.Since(encStart))
-	s.metrics.observeTrace(tr)
-	if thr := s.cfg.SlowQuery; thr > 0 && resp.ElapsedMs >= float64(thr)/float64(time.Millisecond) {
-		s.metrics.slow.Inc()
-		s.cfg.SlowLog.Printf("serve: slow query (%.1fms >= %v): %s mode=%s k=%d partial=%v trace: %s",
-			resp.ElapsedMs, thr, resp.Canonical, resp.Mode, resp.K, resp.Partial, tr)
-	}
+func (resp *queryResponse) stamp(elapsedMs float64, debug *debugInfo) {
+	resp.ElapsedMs, resp.Debug = elapsedMs, debug
 }
 
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+func (resp *queryResponse) slowLine() string {
+	return fmt.Sprintf("%s mode=%s k=%d partial=%v", resp.Canonical, resp.Mode, resp.K, resp.Partial)
 }
 
-// compile turns the request into a query computation DAG through
-// whichever of the three input forms it carries.
-func (s *Server) compile(req *queryRequest) (*query.Node, error) {
+// QueryForm names a query in one of the three request forms; exactly
+// one of SPARQL, Query (prefix DSL) or Structure must be set. Seed
+// drives structure sampling and defaults to 1.
+type QueryForm struct {
+	SPARQL    string
+	Query     string
+	Structure string
+	Seed      int64
+}
+
+// Compile turns the form into a query computation DAG against the
+// serving dictionaries. graph may be nil, which disables the structure
+// form. Exported for the cluster node frontend, whose /v1/query accepts
+// the same forms.
+func Compile(f QueryForm, entities, relations *kg.Dict, graph *kg.Graph) (*query.Node, error) {
 	forms := 0
-	for _, set := range []bool{req.SPARQL != "", req.Query != "", req.Structure != ""} {
+	for _, set := range []bool{f.SPARQL != "", f.Query != "", f.Structure != ""} {
 		if set {
 			forms++
 		}
@@ -304,29 +186,29 @@ func (s *Server) compile(req *queryRequest) (*query.Node, error) {
 		return nil, fmt.Errorf("exactly one of \"sparql\", \"query\" or \"structure\" must be set")
 	}
 	switch {
-	case req.SPARQL != "":
-		pq, err := sparql.Parse(req.SPARQL)
+	case f.SPARQL != "":
+		pq, err := sparql.Parse(f.SPARQL)
 		if err != nil {
 			return nil, err
 		}
-		return s.adaptor.Compile(pq)
-	case req.Query != "":
-		return query.Parse(req.Query, s.cfg.Entities, s.cfg.Relations)
+		return (&sparql.Adaptor{Entities: entities, Relations: relations}).Compile(pq)
+	case f.Query != "":
+		return query.Parse(f.Query, entities, relations)
 	default:
-		if s.cfg.Graph == nil {
+		if graph == nil {
 			return nil, fmt.Errorf("structure sampling is not enabled on this server")
 		}
-		if !query.HasStructure(req.Structure) {
-			return nil, fmt.Errorf("unknown structure %q; known: %v", req.Structure, query.StructureNames())
+		if !query.HasStructure(f.Structure) {
+			return nil, fmt.Errorf("unknown structure %q; known: %v", f.Structure, query.StructureNames())
 		}
-		seed := req.Seed
+		seed := f.Seed
 		if seed == 0 {
 			seed = 1
 		}
-		sampler := query.NewSampler(s.cfg.Graph, rand.New(rand.NewSource(seed)))
-		root, ok := sampler.Sample(req.Structure)
+		sampler := query.NewSampler(graph, rand.New(rand.NewSource(seed)))
+		root, ok := sampler.Sample(f.Structure)
 		if !ok {
-			return nil, fmt.Errorf("could not sample a %q query from the serving graph", req.Structure)
+			return nil, fmt.Errorf("could not sample a %q query from the serving graph", f.Structure)
 		}
 		return root, nil
 	}
@@ -335,108 +217,13 @@ func (s *Server) compile(req *queryRequest) (*query.Node, error) {
 // answerVersion is the entity-table version the given mode answers
 // from, used to namespace cache keys: updating the embeddings bumps the
 // version, so stale cached answers become unreachable instead of being
-// served. Sharded exact answers come from the ranker's snapshot; all
-// other paths read the live model table.
+// served. Exact answers come from the ranker's snapshot; approx answers
+// read the live model table.
 func (s *Server) answerVersion(mode string) uint64 {
-	if mode == "exact" && s.cfg.Ranker != nil {
-		return s.cfg.Ranker.SnapshotVersion()
-	}
-	if ev, ok := s.cfg.Model.(EntityVersioner); ok {
-		return ev.EntityVersion()
-	}
-	return 0
-}
-
-// rank runs on a pool worker: one query embedding plus one entity
-// ranking — sharded scatter-gather, single-threaded exact, or
-// ANN-pruned. The *shard.Result is non-nil only on the sharded path.
-func (s *Server) rank(ctx context.Context, root *query.Node, k int, mode string) ([]Answer, *shard.Result, error) {
-	tr := obs.FromContext(ctx)
-	if err := s.cfg.Faults.Fire(FaultStageRank, 0); err != nil {
-		return nil, nil, err
-	}
 	if mode == "approx" {
-		a := s.approxAnswerer()
-		if a == nil {
-			// The index was swapped out between the mode check and this
-			// worker picking the request up.
-			return nil, nil, fmt.Errorf("approx mode is not enabled on this server")
-		}
-		begin := time.Now()
-		ids := a.TopKApprox(root, k)
-		s.metrics.observePool(a.PoolSize(root))
-		answers := make([]Answer, len(ids))
-		for i, e := range ids {
-			answers[i] = Answer{ID: e, Entity: s.cfg.Entities.Name(int32(e))}
-		}
-		tr.Observe(obs.StageApproxTopK, time.Since(begin))
-		return answers, nil, nil
+		return modelVersion(s.cfg.Model)
 	}
-
-	if s.cfg.Ranker != nil {
-		// The sharded path traces its own prepare/scatter/merge stages
-		// through the context; only the answer labelling is ours, counted
-		// toward the encode stage.
-		res, err := s.cfg.Ranker.RankTopK(ctx, root, k)
-		if err != nil {
-			return nil, nil, err
-		}
-		begin := time.Now()
-		answers := make([]Answer, len(res.IDs))
-		for i, e := range res.IDs {
-			dist := res.Dists[i]
-			answers[i] = Answer{ID: e, Entity: s.cfg.Entities.Name(int32(e)), Distance: &dist}
-		}
-		tr.Observe(obs.StageEncode, time.Since(begin))
-		return answers, res, nil
-	}
-
-	begin := time.Now()
-	var d []float64
-	var err error
-	if cr, ok := s.cfg.Model.(ContextRanker); ok {
-		d, err = cr.DistancesContext(ctx, root)
-	} else {
-		d = s.cfg.Model.Distances(root)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	answers := s.topK(d, k)
-	tr.Observe(obs.StageRankScan, time.Since(begin))
-	return answers, nil, nil
-}
-
-// topK selects the k lowest-distance entities, most likely answers
-// first, with the same tie-breaking as halk.Model.TopK (first index
-// wins), so served answers match the offline CLI exactly.
-func (s *Server) topK(d []float64, k int) []Answer {
-	if k > len(d) {
-		k = len(d)
-	}
-	idx := make([]kg.EntityID, len(d))
-	for i := range idx {
-		idx[i] = kg.EntityID(i)
-	}
-	for i := 0; i < k; i++ {
-		min := i
-		for j := i + 1; j < len(idx); j++ {
-			if d[idx[j]] < d[idx[min]] {
-				min = j
-			}
-		}
-		idx[i], idx[min] = idx[min], idx[i]
-	}
-	answers := make([]Answer, k)
-	for i := 0; i < k; i++ {
-		dist := d[idx[i]]
-		answers[i] = Answer{
-			ID:       idx[i],
-			Entity:   s.cfg.Entities.Name(int32(idx[i])),
-			Distance: &dist,
-		}
-	}
-	return answers
+	return s.cfg.Ranker.SnapshotVersion()
 }
 
 // healthzResponse is the GET /v1/healthz readiness report: enough for a
@@ -449,8 +236,8 @@ type healthzResponse struct {
 	Model    string `json:"model"`
 	Entities int    `json:"entities"`
 	// EntityVersion is the version exact answers are currently served
-	// from (the ranker's published snapshot when one is configured, the
-	// live model table otherwise). The router compares it across nodes
+	// from (the ranker's published snapshot; the live model table for the
+	// default full scan). The router compares it across nodes
 	// to detect checkpoint-rollout skew.
 	EntityVersion uint64 `json:"entity_version"`
 	// Shards is the exact path's scatter width (0 = unsharded full scan).
@@ -468,9 +255,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Model:         s.cfg.Model.Name(),
 		Entities:      s.cfg.Entities.Len(),
 		EntityVersion: s.answerVersion("exact"),
-	}
-	if s.cfg.Ranker != nil {
-		resp.Shards = s.cfg.Ranker.NumShards()
+		Shards:        s.cfg.Ranker.NumShards(),
 	}
 	if s.cfg.Ckpt != nil {
 		snap := s.cfg.Ckpt.Snapshot()
@@ -497,8 +282,8 @@ type statsResponse struct {
 	Cache     cacheStats                  `json:"cache"`
 	ApproxOn  bool                        `json:"approx_enabled"`
 	Pool      poolSnapshot                `json:"candidate_pool"`
-	// NumShards and Shards describe the sharded ranking engine when one
-	// is configured: shard count, ID ranges, scan counts, deadline skips,
+	// NumShards and Shards describe the sharded ranking engine when
+	// Config.Ranker is one: shard count, ID ranges, scan counts, deadline skips,
 	// circuit-breaker and hedging counters, and scan-latency summaries
 	// per shard.
 	NumShards int                `json:"num_shards,omitempty"`
@@ -533,20 +318,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Cache:     s.cache.stats(),
 		ApproxOn:  s.approxAnswerer() != nil,
 		Pool:      pool,
+		NumShards: s.cfg.Ranker.NumShards(),
+		Shards:    s.cfg.Ranker.ShardStats(),
 	}
 	if s.cfg.Ckpt != nil {
 		snap := s.cfg.Ckpt.Snapshot()
 		resp.Checkpoint = &snap
 	}
-	if s.cfg.Ranker != nil {
-		resp.NumShards = s.cfg.Ranker.NumShards()
-		resp.Shards = s.cfg.Ranker.ShardStats()
-		if rs, ok := s.cfg.Ranker.(ReplicaStatser); ok {
-			resp.Ranges = rs.ReplicaStats()
-		}
-		if tm, ok := s.cfg.Ranker.(TopologyManager); ok {
-			resp.TopologyVersion = tm.TopologyVersion()
-		}
+	if rs, ok := s.cfg.Ranker.(ReplicaStatser); ok {
+		resp.Ranges = rs.ReplicaStats()
+	}
+	if tm, ok := s.cfg.Ranker.(TopologyManager); ok {
+		resp.TopologyVersion = tm.TopologyVersion()
 	}
 	if s.gate != nil {
 		resp.Admission = s.gate.snapshot()

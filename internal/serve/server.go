@@ -6,10 +6,18 @@
 // request costs one query embedding plus one (exact or ANN-pruned)
 // entity ranking.
 //
+// /v1/query and /v1/batch are one pipeline (request.answer): resolve k →
+// version-namespaced cache key → cache probe → one admission slot and
+// one pool task ranking the misses through Config.Ranker → partial
+// answers never cached → trace fold and slow log. A /v1/query is a batch
+// of one; the handlers only decode and encode their own shapes.
+//
 // The Server composes:
 //
 //   - a bounded worker pool sized to GOMAXPROCS, so concurrent requests
-//     share the fastDistances hot loop without unbounded goroutines;
+//     share the ranking hot loop without unbounded goroutines;
+//   - one exact Ranker: Config.Ranker, or by default a full scan over
+//     Config.Model behind the same interface;
 //   - an LRU answer cache keyed by query.CanonicalKey, so logically
 //     equivalent phrasings (i(a,b) vs i(b,a)) share one entry;
 //   - optional ANN-backed approximate answering selected per request;
@@ -34,24 +42,14 @@ import (
 	"github.com/halk-kg/halk/internal/query"
 	"github.com/halk-kg/halk/internal/resil"
 	"github.com/halk-kg/halk/internal/shard"
-	"github.com/halk-kg/halk/internal/sparql"
 )
 
-// ContextRanker is the optional upgrade a model can implement to support
-// per-request deadlines: ranking aborts with the context error instead
-// of completing the scan. halk.Model implements it; models that don't
-// are served through plain Distances (the deadline then only bounds
-// queue wait, not the scan itself).
-type ContextRanker interface {
-	DistancesContext(ctx context.Context, n *query.Node) ([]float64, error)
-}
-
-// Ranker is the scatter-gather ranking interface of the sharded exact
-// path; halk.ShardedRanker implements it. When Config.Ranker is set,
-// "exact" requests rank through it instead of the single-threaded full
-// scan: each shard scans concurrently under its own deadline, and a
-// missed shard degrades the response to a partial result instead of
-// failing the request.
+// Ranker is the exact ranking interface every "exact" request is served
+// through. halk.ShardedRanker implements it by scatter-gather — each
+// shard scans concurrently under its own deadline, and a missed shard
+// degrades the response to a partial result instead of failing the
+// request — cluster.Router by remote scatter-gather, and the default
+// (Config.Ranker nil) by a single-threaded full scan over Config.Model.
 type Ranker interface {
 	// RankTopK ranks the k best answers; Result carries exact distances,
 	// the snapshot version answered from, and partial-result metadata.
@@ -59,7 +57,8 @@ type Ranker interface {
 	// SnapshotVersion is the entity version of the published snapshot;
 	// the answer cache namespaces its keys by it.
 	SnapshotVersion() uint64
-	// NumShards reports the engine's shard count (exported at /v1/stats).
+	// NumShards reports the scatter width (exported at /v1/healthz and
+	// /v1/stats); 0 means an unsharded full scan.
 	NumShards() int
 	// ShardStats reports per-shard scan counters (exported at /v1/stats).
 	ShardStats() []shard.ShardStats
@@ -88,8 +87,10 @@ type ApproxAnswerer interface {
 
 // Config assembles a Server.
 type Config struct {
-	// Model answers queries through model.Interface.Distances (and
-	// DistancesContext when implemented). Required.
+	// Model names the served model and, when Ranker is nil, answers
+	// "exact" requests by a full scan through Distances (DistancesContext
+	// when implemented, so the request deadline bounds the scan too).
+	// Required.
 	Model model.Interface
 	// Entities and Relations resolve names in SPARQL / DSL requests and
 	// label answers. Required.
@@ -101,10 +102,10 @@ type Config struct {
 	Graph *kg.Graph
 	// Approx, when set, enables the "approx" request mode.
 	Approx ApproxAnswerer
-	// Ranker, when set, serves "exact" requests through the sharded
-	// scatter-gather engine instead of Model.Distances. Results are
-	// identical to the full scan on the same snapshot; responses may be
-	// marked partial when shards miss their deadline.
+	// Ranker serves "exact" requests. Nil means a full scan over Model
+	// behind the same interface; a sharded ranker returns results
+	// identical to that scan on the same snapshot, and may mark responses
+	// partial when shards miss their deadline.
 	Ranker Ranker
 	// Workers bounds ranking concurrency; 0 means GOMAXPROCS.
 	Workers int
@@ -172,7 +173,6 @@ const DefaultMaxBatch = 256
 // All methods are safe for concurrent use.
 type Server struct {
 	cfg     Config
-	adaptor *sparql.Adaptor // shared across requests; it is stateless
 	pool    *workerPool
 	cache   *answerCache
 	metrics *metrics
@@ -196,6 +196,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Entities == nil || cfg.Relations == nil {
 		return nil, fmt.Errorf("serve: Config.Entities and Config.Relations are required")
+	}
+	if cfg.Ranker == nil {
+		cfg.Ranker = fullScan{cfg.Model}
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -236,7 +239,6 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg:     cfg,
-		adaptor: &sparql.Adaptor{Entities: cfg.Entities, Relations: cfg.Relations},
 		pool:    newWorkerPool(cfg.Workers),
 		cache:   newAnswerCache(cfg.CacheSize, cfg.Metrics),
 		metrics: newMetrics(cfg.Metrics),

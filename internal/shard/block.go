@@ -182,7 +182,7 @@ const envMissLimit = 16
 //     starts at the shard's true k-th best instead of converging toward
 //     it block by block — rescoring a lane per block of warm-up that a
 //     per-block rescore order would pay.
-func (e *Engine) scanBlocked(ctx context.Context, sd *shardData, spec *batchSpec, heaps []*topK, gbounds []atomicBound, sc *scanCounters) error {
+func (e *Engine) scanBlocked(ctx context.Context, sd *shardData, spec *batchSpec, heaps []*topK, gbounds []Bound, sc *scanCounters) error {
 	ents := sd.hi - sd.lo
 	if ents == 0 {
 		return nil
@@ -206,7 +206,7 @@ func (e *Engine) scanBlocked(ctx context.Context, sd *shardData, spec *batchSpec
 		lanes := min(ents-base, blockSize)
 		for qi := range spec.items {
 			e.sweepBlock(sd, spec, qi, b, lanes, lows[qi*ents+base:qi*ents+base+lanes], &gbounds[qi], &envMiss[qi], sc)
-			if b == 0 && math.IsInf(gbounds[qi].load(), 1) {
+			if b == 0 && math.IsInf(gbounds[qi].Load(), 1) {
 				// No bound exists anywhere yet (no other shard has
 				// published, no caller seed): exact-score block 0's k
 				// filter-best lanes so the envelope checks from block 1 on
@@ -234,7 +234,7 @@ func (e *Engine) scanBlocked(ctx context.Context, sd *shardData, spec *batchSpec
 // lows and no exact scores. Bounded insertion keeps sel the k smallest,
 // ascending; NaN bounds compare false everywhere, so both guards reject
 // already-scored and envelope-skipped lanes.
-func (e *Engine) bootScore(sd *shardData, arcs []Arc, k int, lows []float32, idx []int32, h *topK, gbound *atomicBound, sc *scanCounters) {
+func (e *Engine) bootScore(sd *shardData, arcs []Arc, k int, lows []float32, idx []int32, h *topK, gbound *Bound, sc *scanCounters) {
 	if k > len(lows) {
 		k = len(lows)
 	}
@@ -261,7 +261,7 @@ func (e *Engine) bootScore(sd *shardData, arcs []Arc, k int, lows []float32, idx
 	twoRho32 := e.twoRho32
 	for _, t := range sel {
 		thr := h.bound()
-		if g := gbound.load(); g < thr {
+		if g := gbound.Load(); g < thr {
 			thr = g
 		}
 		// An infinite limit compares false against everything, so the
@@ -279,7 +279,7 @@ func (e *Engine) bootScore(sd *shardData, arcs []Arc, k int, lows []float32, idx
 // of the batch, writing each lane's float32 distance lower bound into
 // dst (length lanes). Envelope-skipped blocks get NaN bounds, which no
 // rescore comparison ever selects.
-func (e *Engine) sweepBlock(sd *shardData, spec *batchSpec, qi, b, lanes int, dst []float32, gbound *atomicBound, envMiss *uint8, sc *scanCounters) {
+func (e *Engine) sweepBlock(sd *shardData, spec *batchSpec, qi, b, lanes int, dst []float32, gbound *Bound, envMiss *uint8, sc *scanCounters) {
 	arcs := spec.items[qi].Arcs
 
 	// Level 1: skip the block when every arc's envelope lower bound
@@ -290,7 +290,7 @@ func (e *Engine) sweepBlock(sd *shardData, spec *batchSpec, qi, b, lanes int, ds
 	// with no angular locality inside blocks the envelopes never fire,
 	// so after envMissLimit consecutive misses the check is retired for
 	// the rest of this query's scan.
-	if g := gbound.load(); *envMiss < envMissLimit && !math.IsInf(g, 1) {
+	if g := gbound.Load(); *envMiss < envMissLimit && !math.IsInf(g, 1) {
 		limit := g + e.slack
 		skip := true
 		for ai := range arcs {
@@ -374,7 +374,7 @@ func (e *Engine) sweepBlock(sd *shardData, spec *batchSpec, qi, b, lanes int, ds
 // selects every lane whose stored float32 bound beats the pruning limit
 // and rescores them ascending, so the heap tightens fastest and the
 // first lane whose bound clears the re-read limit ends the scan.
-func (e *Engine) rescoreQuery(sd *shardData, arcs []Arc, k int, lows []float32, idx []int32, h *topK, gbound *atomicBound, sc *scanCounters) {
+func (e *Engine) rescoreQuery(sd *shardData, arcs []Arc, k int, lows []float32, idx []int32, h *topK, gbound *Bound, sc *scanCounters) {
 	twoRho32 := e.twoRho32
 	// Rescore the shard's k filter-best lanes first, whatever the bound:
 	// the block-0 bootstrap only saw one block, so its threshold can sit
@@ -384,7 +384,7 @@ func (e *Engine) rescoreQuery(sd *shardData, arcs []Arc, k int, lows []float32, 
 	// already tight (a later shard warmed by gbound).
 	e.bootScore(sd, arcs, k, lows, idx, h, gbound, sc)
 	thr := h.bound()
-	if g := gbound.load(); g < thr {
+	if g := gbound.Load(); g < thr {
 		thr = g
 	}
 	if math.IsInf(thr, 1) {
@@ -414,7 +414,7 @@ func (e *Engine) rescoreQuery(sd *shardData, arcs []Arc, k int, lows []float32, 
 	}
 	for _, t := range sel {
 		thr = h.bound()
-		if g := gbound.load(); g < thr {
+		if g := gbound.Load(); g < thr {
 			thr = g
 		}
 		if lows[t]*twoRho32 > float32(thr+e.slack) {

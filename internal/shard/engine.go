@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/halk-kg/halk/internal/ann"
 	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/obs"
 	"github.com/halk-kg/halk/internal/resil"
@@ -33,9 +32,6 @@ var ErrClosed = errors.New("shard: engine closed")
 type Options struct {
 	// Shards is the number of partitions; values < 1 mean 1.
 	Shards int
-	// ANN, when non-nil, builds a per-shard bucket index on every Swap,
-	// enabling TopKApprox.
-	ANN *ann.Config
 	// ShardTimeout bounds each shard's local scan. A shard that misses it
 	// is skipped and the merged result is marked partial; 0 means shards
 	// are bounded only by the query context.
@@ -83,7 +79,6 @@ type Options struct {
 type Engine struct {
 	p            Params
 	n            int
-	annCfg       *ann.Config
 	shardTimeout time.Duration
 
 	snap   atomic.Pointer[snapshot]
@@ -91,9 +86,6 @@ type Engine struct {
 	reg    *obs.Registry
 	stats  []shardStat
 	heaps  []sync.Pool // per-shard scratch heaps, reused across scans
-
-	// candPool recycles ANN candidate scratch buffers across scans.
-	candPool sync.Pool
 
 	// scalar pins exact scans to the scalar reference kernel
 	// (Options.ScalarKernel); slack / twoRho32 are the blocked kernel's
@@ -154,7 +146,6 @@ func NewEngine(p Params, opts Options) *Engine {
 	e := &Engine{
 		p:            p,
 		n:            n,
-		annCfg:       opts.ANN,
 		shardTimeout: opts.ShardTimeout,
 		reg:          reg,
 		stats:        newShardStats(reg, n),
@@ -261,7 +252,7 @@ func (e *Engine) Swap(src Source) error {
 	// shards containing a dirty entity and share the rest (shardData is
 	// immutable after publication, so sharing across snapshots is safe).
 	if cur != nil && src.Dirty != nil && len(cur.shards) > 0 && src.Base == cur.shards[0].lo {
-		snap, rebuilt, err := deltaSnapshot(e.p, src, cur, e.annCfg, !e.scalar)
+		snap, rebuilt, err := deltaSnapshot(e.p, src, cur, !e.scalar)
 		if err != nil {
 			return err
 		}
@@ -271,7 +262,7 @@ func (e *Engine) Swap(src Source) error {
 		e.deltaReused.Add(uint64(len(cur.shards) - rebuilt))
 		return nil
 	}
-	snap, err := buildSnapshot(e.p, e.n, src, e.annCfg, !e.scalar)
+	snap, err := buildSnapshot(e.p, e.n, src, !e.scalar)
 	if err != nil {
 		return err
 	}
@@ -303,12 +294,11 @@ type BatchItem struct {
 }
 
 // batchSpec is the immutable per-gather description every shard scan
-// reads: the queries, their float32 kernel tables (nil on the scalar or
-// approx paths), and the scan mode.
+// reads: the queries and their float32 kernel tables (nil on the scalar
+// path).
 type batchSpec struct {
-	items  []BatchItem
-	kern   [][]kernArc
-	approx bool
+	items []BatchItem
+	kern  [][]kernArc
 }
 
 // localBatch is one shard's contribution to a gather: the sorted local
@@ -331,7 +321,7 @@ type localBatch struct {
 // Scans poll ctx; a cancelled query returns ctx.Err(). Shards that miss
 // Options.ShardTimeout are skipped and the result is marked Partial.
 func (e *Engine) TopK(ctx context.Context, arcs []Arc, k int) (*Result, error) {
-	return e.run(ctx, arcs, k, false, math.Inf(1))
+	return e.run(ctx, arcs, k, math.Inf(1))
 }
 
 // TopKBound is TopK with the shared pruning bound seeded from outside:
@@ -343,17 +333,7 @@ func (e *Engine) TopK(ctx context.Context, arcs []Arc, k int) (*Result, error) {
 // that provably cannot enter the global top-K — so the merged result is
 // identical to an unseeded scan whenever the bound is valid.
 func (e *Engine) TopKBound(ctx context.Context, arcs []Arc, k int, bound float64) (*Result, error) {
-	return e.run(ctx, arcs, k, false, bound)
-}
-
-// TopKApprox is the ANN-pruned variant: each shard probes its bucket
-// index around the arc centers and scores only the candidate pool.
-// Requires Options.ANN.
-func (e *Engine) TopKApprox(ctx context.Context, arcs []Arc, k int) (*Result, error) {
-	if e.annCfg == nil {
-		return nil, fmt.Errorf("shard: TopKApprox requires Options.ANN")
-	}
-	return e.run(ctx, arcs, k, true, math.Inf(1))
+	return e.run(ctx, arcs, k, bound)
 }
 
 // RankBatch evaluates many queries in one gather: each shard runs a
@@ -377,50 +357,32 @@ func (e *Engine) RankBatch(ctx context.Context, items []BatchItem) ([]*Result, e
 			return nil, fmt.Errorf("shard: batch item %d has no arcs to rank", i)
 		}
 	}
-	return e.runBatch(ctx, items, false, math.Inf(1))
-}
-
-// PoolSize reports how many candidates the per-shard ANN indexes would
-// return for the arcs — the work saved versus a full scan.
-func (e *Engine) PoolSize(arcs []Arc) int {
-	snap := e.snap.Load()
-	if snap == nil {
-		return 0
-	}
-	total := 0
-	for i := range snap.shards {
-		sd := &snap.shards[i]
-		if sd.index == nil {
-			continue
-		}
-		total += len(shardCandidates(sd, arcs, nil))
-	}
-	return total
+	return e.runBatch(ctx, items, math.Inf(1))
 }
 
 // run is the single-query entry: a batch of one.
-func (e *Engine) run(ctx context.Context, arcs []Arc, k int, approx bool, bound float64) (*Result, error) {
+func (e *Engine) run(ctx context.Context, arcs []Arc, k int, bound float64) (*Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("shard: k must be positive, got %d", k)
 	}
 	if len(arcs) == 0 {
 		return nil, fmt.Errorf("shard: no arcs to rank")
 	}
-	res, err := e.runBatch(ctx, []BatchItem{{Arcs: arcs, K: k}}, approx, bound)
+	res, err := e.runBatch(ctx, []BatchItem{{Arcs: arcs, K: k}}, bound)
 	if err != nil {
 		return nil, err
 	}
 	return res[0], nil
 }
 
-func (e *Engine) runBatch(ctx context.Context, items []BatchItem, approx bool, bound float64) ([]*Result, error) {
+func (e *Engine) runBatch(ctx context.Context, items []BatchItem, bound float64) ([]*Result, error) {
 	snap := e.snap.Load()
 	if snap == nil {
 		return nil, ErrNoSnapshot
 	}
 
-	spec := &batchSpec{items: items, approx: approx}
-	if !approx && !e.scalar {
+	spec := &batchSpec{items: items}
+	if !e.scalar {
 		spec.kern = prepareKernel(e.p.Dim, e.p.Eta, items)
 	}
 
@@ -429,11 +391,11 @@ func (e *Engine) runBatch(ctx context.Context, items []BatchItem, approx bool, b
 	// shard's local k-th best is an upper bound on the global k-th best,
 	// so every shard may prune against it. A caller-supplied bound
 	// (TopKBound) seeds it before the first scan.
-	gbounds := make([]atomicBound, len(items))
+	gbounds := make([]Bound, len(items))
 	for qi := range gbounds {
-		gbounds[qi].init()
+		gbounds[qi].Init()
 		if bound > 0 && !math.IsInf(bound, 1) {
-			gbounds[qi].update(bound)
+			gbounds[qi].Update(bound)
 		}
 	}
 
@@ -516,7 +478,7 @@ func (e *Engine) runBatch(ctx context.Context, items []BatchItem, approx bool, b
 // shard's budget rather than a fresh ShardTimeout, so a persistently
 // slow shard bounds the gather at ~ShardTimeout instead of
 // hedge delay + ShardTimeout.
-func (e *Engine) runShard(ctx context.Context, snap *snapshot, i int, spec *batchSpec, gbounds []atomicBound, out *localBatch) {
+func (e *Engine) runShard(ctx context.Context, snap *snapshot, i int, spec *batchSpec, gbounds []Bound, out *localBatch) {
 	sctx := ctx
 	var cancel context.CancelFunc
 	if e.shardTimeout > 0 {
@@ -601,7 +563,7 @@ func (e *Engine) hedgeDelayFor(i int) time.Duration {
 // skipped+failed (the gather degrades to a partial result, exactly like
 // a deadline miss) and the stack is counted and logged — one poisoned
 // shard never takes down the process or the query's siblings.
-func (e *Engine) scanShard(sctx, qctx context.Context, snap *snapshot, i int, spec *batchSpec, gbounds []atomicBound, out *localBatch) {
+func (e *Engine) scanShard(sctx, qctx context.Context, snap *snapshot, i int, spec *batchSpec, gbounds []Bound, out *localBatch) {
 	defer func() {
 		if v := recover(); v != nil {
 			out.skipped = true
@@ -638,16 +600,9 @@ func (e *Engine) scanShard(sctx, qctx context.Context, snap *snapshot, i int, sp
 	}
 	var sc scanCounters
 	var err error
-	switch {
-	case spec.approx:
-		for qi := range spec.items {
-			if err = e.scanCandidates(sctx, sd, spec.items[qi].Arcs, heaps[qi], &gbounds[qi]); err != nil {
-				break
-			}
-		}
-	case spec.kern != nil && sd.cos32 != nil:
+	if spec.kern != nil && sd.cos32 != nil {
 		err = e.scanBlocked(sctx, sd, spec, heaps, gbounds, &sc)
-	default:
+	} else {
 		for qi := range spec.items {
 			if err = e.scanRange(sctx, sd, spec.items[qi].Arcs, heaps[qi], &gbounds[qi]); err != nil {
 				break
@@ -697,44 +652,55 @@ func mergeBatch(snap *snapshot, locals []localBatch, items []BatchItem) ([]*Resu
 		return nil, ErrAllShardsSkipped
 	}
 	results := make([]*Result, len(items))
+	ds := make([][]float64, len(answered))
+	ids := make([][]int32, len(answered))
 	for qi := range items {
+		for j, i := range answered {
+			ds[j], ids[j] = locals[i].d[qi], locals[i].id[qi]
+		}
 		res := &Result{
 			Version:  snap.version,
 			Answered: answered,
 			Skipped:  skipped,
 			Partial:  len(skipped) > 0,
 		}
-		k := items[qi].K
-		total := 0
-		for _, i := range answered {
-			total += len(locals[i].d[qi])
-		}
-		if k > total {
-			k = total
-		}
-		res.IDs = make([]kg.EntityID, 0, k)
-		res.Dists = make([]float64, 0, k)
-		heads := make([]int, len(locals))
-		for len(res.IDs) < k {
-			best := -1
-			for _, i := range answered {
-				h := heads[i]
-				if h >= len(locals[i].d[qi]) {
-					continue
-				}
-				if best < 0 || locals[i].d[qi][h] < locals[best].d[qi][heads[best]] ||
-					(locals[i].d[qi][h] == locals[best].d[qi][heads[best]] && locals[i].id[qi][h] < locals[best].id[qi][heads[best]]) {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			res.IDs = append(res.IDs, kg.EntityID(locals[best].id[qi][heads[best]]))
-			res.Dists = append(res.Dists, locals[best].d[qi][heads[best]])
-			heads[best]++
-		}
+		res.IDs, res.Dists = MergeSorted(items[qi].K, ds, ids)
 		results[qi] = res
 	}
 	return results, nil
+}
+
+// MergeSorted folds sorted (distance, ID) lists — ds[i] and ids[i] are
+// list i's parallel columns — into their k smallest pairs, ascending,
+// equal distances toward the smaller ID: the order every scan path
+// emits, so a merge of local top-K lists reproduces the global one.
+// Exported for the cluster router, which merges remote ranges' lists.
+func MergeSorted[ID ~int32](k int, ds [][]float64, ids [][]ID) ([]kg.EntityID, []float64) {
+	total := 0
+	for _, d := range ds {
+		total += len(d)
+	}
+	if k > total {
+		k = total
+	}
+	outIDs := make([]kg.EntityID, 0, k)
+	outDs := make([]float64, 0, k)
+	heads := make([]int, len(ds))
+	for len(outIDs) < k {
+		best := -1
+		for i, d := range ds {
+			h := heads[i]
+			if h >= len(d) {
+				continue
+			}
+			if best < 0 || d[h] < ds[best][heads[best]] ||
+				(d[h] == ds[best][heads[best]] && ids[i][h] < ids[best][heads[best]]) {
+				best = i
+			}
+		}
+		outIDs = append(outIDs, kg.EntityID(ids[best][heads[best]]))
+		outDs = append(outDs, ds[best][heads[best]])
+		heads[best]++
+	}
+	return outIDs, outDs
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/halk-kg/halk/internal/ann"
 	"github.com/halk-kg/halk/internal/geometry"
 )
 
@@ -353,41 +352,5 @@ func TestConcurrentSwapDuringScan(t *testing.T) {
 	wg.Wait()
 	if e.Version() != 40 {
 		t.Fatalf("final version = %d, want 40", e.Version())
-	}
-}
-
-// TestTopKApprox checks the per-shard ANN path: every returned distance
-// must be the entity's exact score (candidates are ranked exactly), the
-// order ascending, and the pool strictly smaller than the table when the
-// index prunes at all.
-func TestTopKApprox(t *testing.T) {
-	p, src, raw, pre := testSetup(47, 160, 6, 2, 4)
-	annCfg := ann.DefaultConfig(5)
-	e := newTestEngine(t, p, src, Options{Shards: 3, ANN: &annCfg})
-
-	res, err := e.TopKApprox(context.Background(), pre, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.IDs) == 0 {
-		t.Fatal("approx ranking returned no answers")
-	}
-	for i, id := range res.IDs {
-		want := refDistance(p, src, raw, int(id))
-		if math.Abs(res.Dists[i]-want) > 1e-9 {
-			t.Errorf("entity %d: dist %.12f, want %.12f", id, res.Dists[i], want)
-		}
-		if i > 0 && res.Dists[i] < res.Dists[i-1] {
-			t.Errorf("answers out of order at rank %d", i)
-		}
-	}
-	if ps := e.PoolSize(pre); ps <= 0 {
-		t.Errorf("PoolSize = %d, want > 0", ps)
-	}
-
-	// Without an index the approx path must refuse, not misbehave.
-	plain := newTestEngine(t, p, src, Options{Shards: 3})
-	if _, err := plain.TopKApprox(context.Background(), pre, 10); err == nil {
-		t.Error("TopKApprox without Options.ANN did not error")
 	}
 }

@@ -3,10 +3,7 @@ package shard
 import (
 	"context"
 	"math"
-	"slices"
 	"sync/atomic"
-
-	"github.com/halk-kg/halk/internal/kg"
 )
 
 // ctxCheckStride is how many entities a shard scores between
@@ -20,15 +17,20 @@ const ctxCheckStride = 1024
 // top-K and the rest of the loop is skipped.
 const pruneStride = 8
 
-// atomicBound is a lock-free shared minimum over non-negative float64s
+// Bound is a lock-free shared minimum over non-negative float64s
 // (their IEEE bit patterns order like the values, so a uint64 CAS-min
-// suffices).
-type atomicBound struct{ bits atomic.Uint64 }
+// suffices): the pruning bound a gather's scans share. Exported for the
+// cluster router, whose remote scans prune against the same bound.
+type Bound struct{ bits atomic.Uint64 }
 
-func (b *atomicBound) init()         { b.bits.Store(math.Float64bits(math.Inf(1))) }
-func (b *atomicBound) load() float64 { return math.Float64frombits(b.bits.Load()) }
+// Init arms the bound at +Inf (nothing pruned yet).
+func (b *Bound) Init() { b.bits.Store(math.Float64bits(math.Inf(1))) }
 
-func (b *atomicBound) update(v float64) {
+// Load returns the current minimum.
+func (b *Bound) Load() float64 { return math.Float64frombits(b.bits.Load()) }
+
+// Update lowers the bound to v when v is smaller.
+func (b *Bound) Update(v float64) {
 	nb := math.Float64bits(v)
 	for {
 		old := b.bits.Load()
@@ -46,7 +48,7 @@ func (b *atomicBound) update(v float64) {
 // is identical to the single-node fast path, so retained distances match
 // a full scan bit for bit; pruning only skips entities whose partial sum
 // already exceeds what the global top-K could admit.
-func (e *Engine) scanRange(ctx context.Context, sd *shardData, arcs []Arc, h *topK, gbound *atomicBound) error {
+func (e *Engine) scanRange(ctx context.Context, sd *shardData, arcs []Arc, h *topK, gbound *Bound) error {
 	ents := sd.hi - sd.lo
 	for li := 0; li < ents; li++ {
 		if li%ctxCheckStride == 0 {
@@ -57,45 +59,6 @@ func (e *Engine) scanRange(ctx context.Context, sd *shardData, arcs []Arc, h *to
 		e.scoreLocal(sd, arcs, li, h, gbound)
 	}
 	return nil
-}
-
-// scanCandidates scores only the entities the shard's ANN index returns
-// for the arcs' centers.
-func (e *Engine) scanCandidates(ctx context.Context, sd *shardData, arcs []Arc, h *topK, gbound *atomicBound) error {
-	bufp, _ := e.candPool.Get().(*[]kg.EntityID)
-	if bufp == nil {
-		bufp = new([]kg.EntityID)
-	}
-	cands := shardCandidates(sd, arcs, *bufp)
-	defer func() {
-		*bufp = cands[:0]
-		e.candPool.Put(bufp)
-	}()
-	for n, id := range cands {
-		if n%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		e.scoreLocal(sd, arcs, int(id)-sd.lo, h, gbound)
-	}
-	return nil
-}
-
-// shardCandidates unions the shard-index probes of every arc center into
-// buf's storage, returning the candidates sorted ascending and
-// deduplicated — a deterministic scan order, with no per-query map
-// allocation (callers pool the scratch buffer).
-func shardCandidates(sd *shardData, arcs []Arc, buf []kg.EntityID) []kg.EntityID {
-	if sd.index == nil {
-		return buf[:0]
-	}
-	out := buf[:0]
-	for i := range arcs {
-		out = sd.index.AppendCandidates(out, arcs[i].C, arcs[i].Radius)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
 }
 
 // scoreLocal scores shard-local entity li (global ID sd.lo+li) against
@@ -109,7 +72,7 @@ func shardCandidates(sd *shardData, arcs []Arc, buf []kg.EntityID) []kg.EntityID
 // min/max are used over math.Min/math.Max — identical semantics for
 // every float64 input (NaN propagation and signed-zero ordering
 // included), but inlined instead of a call.
-func (e *Engine) scoreLocal(sd *shardData, arcs []Arc, li int, h *topK, gbound *atomicBound) {
+func (e *Engine) scoreLocal(sd *shardData, arcs []Arc, li int, h *topK, gbound *Bound) {
 	dim := e.p.Dim
 	twoRho := 2 * e.p.Rho
 	eta := e.p.Eta
@@ -117,7 +80,7 @@ func (e *Engine) scoreLocal(sd *shardData, arcs []Arc, li int, h *topK, gbound *
 	cosR := sd.cos[base : base+dim : base+dim]
 	sinR := sd.sin[base : base+dim : base+dim]
 	thr := h.bound()
-	if g := gbound.load(); g < thr {
+	if g := gbound.Load(); g < thr {
 		thr = g
 	}
 	best := math.Inf(1)
@@ -162,6 +125,6 @@ func (e *Engine) scoreLocal(sd *shardData, arcs []Arc, li int, h *topK, gbound *
 		return
 	}
 	if h.push(best, int32(sd.lo+li)) && h.full() {
-		gbound.update(h.bound())
+		gbound.Update(h.bound())
 	}
 }

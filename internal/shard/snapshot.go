@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"github.com/halk-kg/halk/internal/ann"
-	"github.com/halk-kg/halk/internal/kg"
 )
 
 // Source is the mutable model state a snapshot is built from: the flat
@@ -29,7 +26,7 @@ type Source struct {
 	// Dirty, when non-nil, lists every global entity ID whose angle row
 	// changed since the engine's currently published snapshot, enabling a
 	// delta swap: shards containing no dirty entity reuse their existing
-	// immutable shardData (trig tables, group slice, ANN index) and only
+	// immutable shardData (trig tables, group slice) and only
 	// dirty shards are rebuilt. The caller's contract is that rows of
 	// entities NOT listed are byte-identical to the published snapshot's
 	// source — streaming fine-tune guarantees this via its dirty set. A
@@ -49,8 +46,8 @@ type snapshot struct {
 }
 
 // shardData is one shard's immutable view: the contiguous entity range
-// [lo, hi) it owns, its private cos/sin trig tables over that range, the
-// local group assignments, and the optional ANN bucket index.
+// [lo, hi) it owns, its private cos/sin trig tables over that range, and
+// the local group assignments.
 //
 // When the blocked kernel is enabled the shard additionally carries a
 // cache-blocked structure-of-arrays float32 copy of the trig tables and
@@ -60,7 +57,6 @@ type shardData struct {
 	lo, hi   int
 	cos, sin []float64 // (hi-lo)×dim
 	group    []int32   // nil when the group penalty is disabled
-	index    *ann.Index
 
 	// Blocked float32 planes, laid out (block, dim, lane): element
 	// (b*dim+j)*blockSize + t is lane t of block b in dimension j. nil
@@ -75,10 +71,9 @@ type shardData struct {
 }
 
 // buildShardData computes one shard's immutable view over the source
-// rows [lo, hi) (global IDs). shardIdx decorrelates the ANN band seed
-// across shards; blocked additionally derives the float32 planes and
-// block envelopes.
-func buildShardData(p Params, lo, hi, shardIdx int, src Source, annCfg *ann.Config, blocked bool) shardData {
+// rows [lo, hi) (global IDs); blocked additionally derives the float32
+// planes and block envelopes.
+func buildShardData(p Params, lo, hi int, src Source, blocked bool) shardData {
 	size := hi - lo
 	sd := shardData{
 		lo:  lo,
@@ -95,11 +90,6 @@ func buildShardData(p Params, lo, hi, shardIdx int, src Source, annCfg *ann.Conf
 	if p.Xi > 0 {
 		sd.group = src.Group[lo-src.Base : hi-src.Base]
 	}
-	if annCfg != nil && size > 0 {
-		cfg := *annCfg
-		cfg.Seed += int64(shardIdx) // decorrelate band choices across shards
-		sd.index = ann.NewFlat(angles, p.Dim, kg.EntityID(lo), cfg)
-	}
 	if blocked {
 		buildBlocked(&sd, p.Dim)
 	}
@@ -107,10 +97,9 @@ func buildShardData(p Params, lo, hi, shardIdx int, src Source, annCfg *ann.Conf
 }
 
 // buildSnapshot partitions src into n contiguous shards and computes the
-// per-shard trig tables (and ANN indexes when annCfg is non-nil). The
-// first numEntities mod n shards are one entity larger, so any table
-// size splits without gaps.
-func buildSnapshot(p Params, n int, src Source, annCfg *ann.Config, blocked bool) (*snapshot, error) {
+// per-shard trig tables. The first numEntities mod n shards are one
+// entity larger, so any table size splits without gaps.
+func buildSnapshot(p Params, n int, src Source, blocked bool) (*snapshot, error) {
 	if p.Dim <= 0 {
 		return nil, fmt.Errorf("shard: Dim must be positive")
 	}
@@ -136,7 +125,7 @@ func buildSnapshot(p Params, n int, src Source, annCfg *ann.Config, blocked bool
 		if i < rem {
 			size++
 		}
-		snap.shards[i] = buildShardData(p, lo, lo+size, i, src, annCfg, blocked)
+		snap.shards[i] = buildShardData(p, lo, lo+size, src, blocked)
 		lo += size
 	}
 	return snap, nil
@@ -148,10 +137,9 @@ func buildSnapshot(p Params, n int, src Source, annCfg *ann.Config, blocked bool
 // in-flight scans on cur and new scans on the delta snapshot read the
 // same backing arrays, which neither will ever write. Dirty shards are
 // rebuilt from src exactly as buildSnapshot would (including the
-// per-shard ANN seed offset and the blocked planes), so a delta snapshot
-// is byte-identical to a full rebuild whenever the caller's Dirty
+// blocked planes), so a delta snapshot is byte-identical to a full rebuild whenever the caller's Dirty
 // contract holds. Returns the number of shards rebuilt.
-func deltaSnapshot(p Params, src Source, cur *snapshot, annCfg *ann.Config, blocked bool) (*snapshot, int, error) {
+func deltaSnapshot(p Params, src Source, cur *snapshot, blocked bool) (*snapshot, int, error) {
 	dirty := append([]int32(nil), src.Dirty...)
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
 	snap := &snapshot{
@@ -168,7 +156,7 @@ func deltaSnapshot(p Params, src Source, cur *snapshot, annCfg *ann.Config, bloc
 			snap.shards[i] = cur.shards[i]
 			continue
 		}
-		snap.shards[i] = buildShardData(p, lo, hi, i, src, annCfg, blocked)
+		snap.shards[i] = buildShardData(p, lo, hi, src, blocked)
 		rebuilt++
 	}
 	return snap, rebuilt, nil
