@@ -12,19 +12,12 @@
 package halk_test
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
 
 	"github.com/halk-kg/halk/internal/bench"
-	"github.com/halk-kg/halk/internal/halk"
-	"github.com/halk-kg/halk/internal/kg"
-	"github.com/halk-kg/halk/internal/query"
-	"github.com/halk-kg/halk/internal/shard"
 )
 
 var (
@@ -125,175 +118,4 @@ func BenchmarkObservationDiffVsNeg(b *testing.B) {
 
 func BenchmarkCardinalitySemantics(b *testing.B) {
 	benchTable(b, (*bench.Suite).Cardinality, "")
-}
-
-// BenchmarkShardedDistances compares exact top-10 ranking through the
-// scatter-gather shard engine against the single-threaded full scan,
-// sweeping shard counts. Two effects are visible: heap-bound pruning
-// (the sharded scan abandons entities whose partial sum already exceeds
-// the k-th best, on any core count) and parallel shard scans (needs
-// GOMAXPROCS > 1). The fullscan sub-benchmark is the baseline.
-func BenchmarkShardedDistances(b *testing.B) {
-	ds := kg.SynthFB15k(3)
-	cfg := halk.DefaultConfig(3)
-	cfg.Dim, cfg.Hidden = 64, 64
-	m := halk.New(ds.Train, cfg)
-	s := query.NewSampler(ds.Train, rand.New(rand.NewSource(4)))
-	q, ok := s.Sample("2i")
-	if !ok {
-		b.Fatal("sampling failed")
-	}
-	const k = 10
-
-	b.Run("fullscan", func(b *testing.B) {
-		m.TopK(q, k) // warm the trig cache
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.TopK(q, k)
-		}
-	})
-
-	counts := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 4 {
-		counts = append(counts, p)
-	}
-	ctx := context.Background()
-	for _, n := range counts {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			r, err := m.NewShardedRanker(shard.Options{Shards: n})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := r.RankTopK(ctx, q, k); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.RankTopK(ctx, q, k); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-
-	// embed-only is the query-embedding forward pass every exact path
-	// pays before any scan; subtract it from the end-to-end numbers to
-	// compare scan costs. The scan-only group below hoists it out of the
-	// loop entirely, isolating the entity scan that sharding changes.
-	b.Run("embed-only", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.EmbedQuery(q)
-		}
-	})
-	p := shard.Params{Dim: cfg.Dim, Rho: cfg.Rho, Eta: cfg.Eta, Xi: cfg.Xi}
-	arcs := make([]shard.Arc, 0, 2)
-	for _, a := range m.EmbedQuery(q) {
-		arcs = append(arcs, shard.PrepareArc(p, a.C, a.L, a.Hot))
-	}
-	group := make([]int32, ds.Train.NumEntities())
-	for e := range group {
-		group[e] = int32(m.Grouping().GroupOf(kg.EntityID(e)))
-	}
-	angles := make([]float64, ds.Train.NumEntities()*cfg.Dim)
-	for e := 0; e < ds.Train.NumEntities(); e++ {
-		copy(angles[e*cfg.Dim:], m.EntityAngles(kg.EntityID(e)))
-	}
-	for _, n := range counts {
-		b.Run(fmt.Sprintf("scan-only/shards=%d", n), func(b *testing.B) {
-			eng := shard.NewEngine(p, shard.Options{Shards: n})
-			if err := eng.Swap(shard.Source{Angles: angles, Group: group, Version: 1}); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eng.TopK(ctx, arcs, k); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.TopK(ctx, arcs, k); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBatchedDistances compares batched exact ranking against a
-// sequential loop of single-query scans on the same engine: each op
-// ranks the same 8 mixed-structure queries, either one Engine.TopK at a
-// time or through one Engine.RankBatch, which prepares the batch once
-// and sweeps every cache-resident entity block for all queries before
-// moving on. Answers are bit-identical (see shard.TestRankBatchIdentity);
-// the difference is per-scan overhead and memory traffic.
-func BenchmarkBatchedDistances(b *testing.B) {
-	ds := kg.SynthFB15k(3)
-	cfg := halk.DefaultConfig(3)
-	cfg.Dim, cfg.Hidden = 64, 64
-	m := halk.New(ds.Train, cfg)
-	s := query.NewSampler(ds.Train, rand.New(rand.NewSource(4)))
-	const k = 10
-
-	p := shard.Params{Dim: cfg.Dim, Rho: cfg.Rho, Eta: cfg.Eta, Xi: cfg.Xi}
-	var items []shard.BatchItem
-	for _, structure := range []string{"2i", "1p", "pi", "2p", "2i", "3i", "1p", "pi"} {
-		q, ok := s.Sample(structure)
-		if !ok {
-			b.Fatalf("sampling %s failed", structure)
-		}
-		var arcs []shard.Arc
-		for _, a := range m.EmbedQuery(q) {
-			arcs = append(arcs, shard.PrepareArc(p, a.C, a.L, a.Hot))
-		}
-		items = append(items, shard.BatchItem{Arcs: arcs, K: k})
-	}
-	group := make([]int32, ds.Train.NumEntities())
-	for e := range group {
-		group[e] = int32(m.Grouping().GroupOf(kg.EntityID(e)))
-	}
-	angles := make([]float64, ds.Train.NumEntities()*cfg.Dim)
-	for e := 0; e < ds.Train.NumEntities(); e++ {
-		copy(angles[e*cfg.Dim:], m.EntityAngles(kg.EntityID(e)))
-	}
-
-	ctx := context.Background()
-	counts := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 4 {
-		counts = append(counts, p)
-	}
-	for _, n := range counts {
-		eng := shard.NewEngine(p, shard.Options{Shards: n})
-		if err := eng.Swap(shard.Source{Angles: angles, Group: group, Version: 1}); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("sequential/shards=%d", n), func(b *testing.B) {
-			if _, err := eng.TopK(ctx, items[0].Arcs, k); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, it := range items {
-					if _, err := eng.TopK(ctx, it.Arcs, it.K); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("batch=8/shards=%d", n), func(b *testing.B) {
-			if _, err := eng.RankBatch(ctx, items); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.RankBatch(ctx, items); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		eng.Close()
-	}
 }

@@ -31,7 +31,6 @@ func main() {
 		quick   = flag.Bool("quick", false, "smoke-scale budgets")
 		seed    = flag.Int64("seed", 1, "suite seed")
 		out     = flag.String("o", "", "also write results to this file")
-		shards  = flag.Int("shards", 0, "shard count for the Sharding experiment (0 = sweep 1,2,4,GOMAXPROCS)")
 		pprofAt = flag.String("pprof-addr", "", "debug listen address exposing /debug/pprof/ for profiling suite runs (empty disables)")
 	)
 	flag.Parse()
@@ -56,7 +55,6 @@ func main() {
 	if *quick {
 		cfg = bench.QuickConfig(*seed)
 	}
-	cfg.Shards = *shards
 	cfg.Out = os.Stderr
 	s := bench.NewSuite(cfg)
 
@@ -71,13 +69,6 @@ func main() {
 	}
 	w := io.MultiWriter(sinks...)
 
-	wanted := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			wanted[strings.ToLower(id)] = true
-		}
-	}
-
 	runners := []struct {
 		id  string
 		run func() *bench.Table
@@ -90,20 +81,38 @@ func main() {
 		// Supplementary experiments beyond the paper's tables.
 		{"Observation", s.Observation}, {"Cardinality", s.Cardinality},
 		{"Table Ext", func() *bench.Table { return s.TableExtended("FB237") }},
-		{"Sharding", s.Sharding},
-		{"BatchMix", s.BatchMix},
-		{"IngestMix", s.IngestMix},
-		{"ReplicaFailover", s.ReplicaFailover},
 	}
-	ran := 0
-	for _, r := range runners {
-		if !*all && !wanted[strings.ToLower(r.id)] {
+
+	// Resolve -only before anything trains: an id that matches no runner
+	// is a typo, and running the rest would hide it behind exit status 0.
+	selected := make([]bool, len(runners))
+	valid := make([]string, len(runners))
+	for i, r := range runners {
+		selected[i] = *all
+		valid[i] = r.id
+	}
+	for _, id := range strings.Split(*only, ",") {
+		if id = strings.TrimSpace(id); id == "" {
 			continue
 		}
-		fmt.Fprintln(w, r.run().String())
-		ran++
+		found := false
+		for i, r := range runners {
+			if strings.EqualFold(id, r.id) {
+				selected[i], found = true, true
+			}
+		}
+		if !found {
+			log.Fatalf("-only: unknown experiment id %q; valid ids: %s", id, strings.Join(valid, ", "))
+		}
+	}
+	ran := 0
+	for i, r := range runners {
+		if selected[i] {
+			fmt.Fprintln(w, r.run().String())
+			ran++
+		}
 	}
 	if ran == 0 {
-		log.Fatalf("no experiment matched -only %q", *only)
+		log.Fatalf("-only %q names no experiment; valid ids: %s", *only, strings.Join(valid, ", "))
 	}
 }

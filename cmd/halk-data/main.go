@@ -35,20 +35,11 @@ func main() {
 	var err error
 	if *imp != "" {
 		ds, err = importDataset(*imp)
-		if err != nil {
-			log.Fatal(err)
-		}
 	} else {
-		switch *dataset {
-		case "FB15k":
-			ds = kg.SynthFB15k(*seed)
-		case "FB237":
-			ds = kg.SynthFB237(*seed)
-		case "NELL":
-			ds = kg.SynthNELL(*seed)
-		default:
-			log.Fatalf("unknown dataset %q", *dataset)
-		}
+		ds, err = kg.SynthByName(*dataset, *seed)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := ds.Validate(); err != nil {
 		log.Fatal(err)

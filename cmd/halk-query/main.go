@@ -106,24 +106,11 @@ func main() {
 		return
 	}
 
-	// LoadCheckpointFile verifies the envelope (length, checksum) before
-	// decoding, so a truncated or bit-flipped checkpoint fails with a
-	// clear typed error instead of a half-decoded model; bare-gob files
-	// from older halk-train builds still load through the legacy path.
+	// LoadCheckpointFile verifies the envelope (magic, length, checksum)
+	// before decoding, so a truncated, bit-flipped or envelope-less file
+	// fails with a clear typed error instead of a half-decoded model.
 	var ds *kg.Dataset
-	m, info, err := halk.LoadCheckpointFile(*ckpt, func(hdr halk.CheckpointHeader) (*kg.Graph, error) {
-		switch hdr.Dataset {
-		case "FB15k":
-			ds = kg.SynthFB15k(hdr.Seed)
-		case "FB237":
-			ds = kg.SynthFB237(hdr.Seed)
-		case "NELL":
-			ds = kg.SynthNELL(hdr.Seed)
-		default:
-			return nil, fmt.Errorf("unknown dataset %q in checkpoint", hdr.Dataset)
-		}
-		return ds.Train, nil
-	})
+	m, info, err := halk.LoadCheckpointFile(*ckpt, halk.SynthLookup(&ds))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,14 +17,14 @@
 // from the previous parameters and counts the failure on
 // halk_ckpt_reload_failures_total.
 //
-// -ingest enables the live-edge write path (POST /v1/edges): batches
-// are WAL-logged under -ingest-dir, fine-tuned into the model in the
-// background, and published as delta snapshots. Every
-// -ingest-persist-every applied segments the fine-tuned state is
-// checkpointed to <ingest-dir>/state.ckpt so the WAL can prune; on
-// restart that state supersedes -ckpt (clear the directory to re-base).
-// -ingest excludes -cluster (the router does not own the embeddings)
-// and -ckpt-watch (a hot-reload would discard fine-tuned state).
+// -ingest-dir enables the live-edge write path (POST /v1/edges): batches
+// are WAL-logged under that directory, fine-tuned into the model in the
+// background, and published as delta snapshots. Every persistEvery
+// applied segments the fine-tuned state is checkpointed to
+// <ingest-dir>/state.ckpt so the WAL can prune; on restart that state
+// supersedes -ckpt (clear the directory to re-base). -ingest-dir
+// excludes -cluster (the router does not own the embeddings) and
+// -ckpt-watch (a hot-reload would discard fine-tuned state).
 //
 // Endpoints:
 //
@@ -39,9 +39,8 @@
 //	                  replica from the failover pool
 //
 // In router mode the replica topology is live: besides the join/leave
-// endpoints, SIGHUP re-reads -cluster-file and applies the diff
-// (-cluster-watch polls its mtime for the same effect), with range
-// boundaries fixed — only replica-set membership changes.
+// endpoints, SIGHUP re-reads -cluster-file and applies the diff, with
+// range boundaries fixed — only replica-set membership changes.
 //
 // Example session:
 //
@@ -57,7 +56,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"math/rand"
 	"net/http"
@@ -79,49 +77,10 @@ import (
 	"github.com/halk-kg/halk/internal/shard"
 )
 
-// datasetFor regenerates the synthetic dataset a checkpoint header
-// names. An unknown name is permanent: no retry can make it loadable.
-func datasetFor(hdr halk.CheckpointHeader) (*kg.Dataset, error) {
-	switch hdr.Dataset {
-	case "FB15k":
-		return kg.SynthFB15k(hdr.Seed), nil
-	case "FB237":
-		return kg.SynthFB237(hdr.Seed), nil
-	case "NELL":
-		return kg.SynthNELL(hdr.Seed), nil
-	default:
-		return nil, resil.Permanent(fmt.Errorf("unknown dataset %q in checkpoint", hdr.Dataset))
-	}
-}
-
-// resolveCkpt maps the -ckpt flag to a concrete file: a rotation
-// directory resolves to its newest entry (manifest first, directory
-// scan as fallback).
-func resolveCkpt(path string) (string, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return "", err
-	}
-	if fi.IsDir() {
-		return (&ckpt.Dir{Path: path}).LatestPath()
-	}
-	return path, nil
-}
-
-// classifyLoadErr marks checkpoint-load failures that are properties of
-// the bytes on disk — corruption the verified envelope caught, a gob
-// stream that does not decode, a header for another model — as
-// permanent, so the startup retry loop exits immediately instead of
-// re-reading the same bad file with backoff.
-func classifyLoadErr(err error) error {
-	if err == nil || resil.IsPermanent(err) {
-		return err
-	}
-	if ckpt.IsCorrupt(err) || errors.Is(err, halk.ErrCheckpointCorrupt) || errors.Is(err, halk.ErrCheckpointMismatch) {
-		return resil.Permanent(err)
-	}
-	return err
-}
+// persistEvery is how many applied WAL segments pass between durable
+// state checkpoints (<ingest-dir>/state.ckpt); each one advances the WAL
+// cursor and prunes the segments it covers.
+const persistEvery = 64
 
 func main() {
 	log.SetFlags(0)
@@ -130,9 +89,7 @@ func main() {
 	var (
 		ckptPath = flag.String("ckpt", "halk.ckpt", "checkpoint file, or rotation directory written by halk-train -ckpt-dir (serves its newest entry)")
 		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 0, "ranking worker pool size (0 = GOMAXPROCS)")
 		cache    = flag.Int("cache", serve.DefaultCacheSize, "answer-cache capacity in entries (negative disables)")
-		k        = flag.Int("k", 10, "default number of answers when a request omits k")
 		maxK     = flag.Int("maxk", 1000, "cap on per-request k")
 		maxBatch = flag.Int("max-batch", serve.DefaultMaxBatch, "cap on the query count of one POST /v1/batch request")
 		timeout  = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
@@ -143,41 +100,28 @@ func main() {
 		pprofAt  = flag.String("pprof-addr", "", "separate debug listen address exposing /debug/pprof/ and /metrics (empty disables)")
 		slowQ    = flag.Duration("slow-query", 0, "log queries slower than this with their per-stage trace (0 disables)")
 
-		hedge        = flag.Duration("hedge-delay", 0, "hedged-scan delay floor: re-issue a shard scan not back after max(this, the shard's p99 scan latency) and take the first result (0 disables; requires -shards)")
-		breaker      = flag.Bool("breaker", false, "guard each shard with a circuit breaker: shards that keep failing are skipped up front until a half-open probe succeeds (requires -shards)")
-		brkWindow    = flag.Int("breaker-window", 16, "circuit breaker rolling outcome-window size")
-		brkRate      = flag.Float64("breaker-failure-rate", 0.5, "window failure fraction that opens the breaker")
-		brkMisses    = flag.Int("breaker-consecutive-misses", 4, "consecutive shard failures that open the breaker (negative disables)")
-		brkOpen      = flag.Duration("breaker-open", 250*time.Millisecond, "minimum breaker cool-down; each failed reopen probe adds full-jitter exponential extra")
-		brkOpenMax   = flag.Duration("breaker-open-max", 15*time.Second, "cap on the breaker cool-down's jittered extra")
+		hedge        = flag.Duration("hedge-delay", 0, "hedged-scan delay floor: re-issue a shard scan not back after max(this, the shard's p99 scan latency) and take the first result (0 disables; requires -shards or -cluster)")
+		breaker      = flag.Bool("breaker", false, "guard each shard (or, in router mode, each replica) with a circuit breaker: one that keeps failing is skipped up front until a half-open probe succeeds (requires -shards or -cluster)")
 		clusterList  = flag.String("cluster", "", "router mode: comma-separated entity ranges, each a '|'-separated replica set of halk-shard addresses (e.g. \"a:9001|b:9001,a:9002|b:9002\"); exact queries scatter-gather across the ranges and fail over within each replica set")
-		clusterFile  = flag.String("cluster-file", "", "router mode: topology file with one entity range per line, the line's whitespace- or '|'-separated addresses being that range's replicas (# comments)")
-		clusterWatch = flag.Duration("cluster-watch", 0, "poll -cluster-file's mtime this often and reload membership changes into the running router (0 disables; SIGHUP always reloads)")
+		clusterFile  = flag.String("cluster-file", "", "router mode: topology file with one entity range per line, the line's whitespace- or '|'-separated addresses being that range's replicas (# comments); SIGHUP re-reads it and applies membership changes to the running router")
 		remoteTO     = flag.Duration("remote-timeout", 2*time.Second, "per-attempt replica scan deadline in router mode; a replica that misses it fails over to its next sibling, and a range whose whole replica set is exhausted degrades the response to a partial result (0 = request deadline only)")
-		healthEvery  = flag.Duration("health-every", 2*time.Second, "router-mode replica health-poll period (liveness, ranges, checkpoint versions)")
-		quorum       = flag.Int("quorum", 0, "router mode: entity ranges that must have a replica on a new entity version before the served version (and cache namespace) flips (0 = majority)")
 		maxQueueWait = flag.Duration("max-queue-wait", 0, "admission control: shed requests with 429 when the expected worker-queue wait exceeds min(this, the request deadline) (0 disables)")
-		ckptRetries  = flag.Int("ckpt-retries", 3, "checkpoint-load attempts before giving up (full-jitter exponential backoff between attempts; corrupt/mismatched files fail immediately)")
 		ckptWatch    = flag.Duration("ckpt-watch", 0, "poll the -ckpt path this often and hot-reload newer checkpoints into the running server (0 disables)")
 
-		ingestOn      = flag.Bool("ingest", false, "enable POST /v1/edges: accepted edge batches are WAL-logged, fine-tuned into the model in the background, and published as delta snapshots")
-		ingestDir     = flag.String("ingest-dir", "ingest-wal", "write-ahead-log directory for -ingest (replayed on startup; also holds the persisted state checkpoint)")
-		ingestBatch   = flag.Int("ingest-batch", 64, "edges folded into one fine-tune micro-batch (pinned per WAL segment, so changing it never affects replay of already-logged batches)")
-		ingestEvery   = flag.Duration("ingest-every", 100*time.Millisecond, "ingest drain poll period (a write also wakes the drainer immediately)")
-		ingestPersist = flag.Int("ingest-persist-every", 64, "applied WAL segments between durable state checkpoints (<ingest-dir>/state.ckpt); each one advances the WAL cursor and prunes covered segments (0 disables: segments are kept forever and replayed from the base checkpoint)")
-		ingestCompact = flag.Bool("ingest-compact", true, "at startup, remove WAL segments wholly below the durable APPLIED cursor that earlier pruning left behind (crash between cursor write and prune, restored files)")
-		ingestArchive = flag.String("ingest-archive", "", "with -ingest-compact, move dead WAL segments to this directory instead of deleting them (empty = delete)")
+		ingestDir     = flag.String("ingest-dir", "", "enable POST /v1/edges with this write-ahead-log directory: accepted edge batches are logged there (replayed on startup; it also holds the persisted state checkpoint), fine-tuned into the model in the background, and published as delta snapshots (empty disables)")
+		ingestArchive = flag.String("ingest-archive", "", "move the dead WAL segments the startup compaction finds to this directory instead of deleting them (empty = delete)")
 	)
 	flag.Parse()
 
-	if *ingestOn && *ckptWatch > 0 {
+	ingestOn := *ingestDir != ""
+	if ingestOn && *ckptWatch > 0 {
 		// A hot-reload would swap fine-tuned embeddings for the new
 		// checkpoint's while the ingest WAL still claims its edges are
 		// applied, and its full shard refresh can be suppressed by an
 		// interleaved delta publish that already stamped the new entity
 		// version. Re-base instead: stop the server, clear (or re-point)
 		// -ingest-dir, restart on the new checkpoint.
-		log.Fatal("-ingest and -ckpt-watch are mutually exclusive: a hot-reload would discard fine-tuned state and race delta publication; restart the server to serve a new checkpoint")
+		log.Fatal("-ingest-dir and -ckpt-watch are mutually exclusive: a hot-reload would discard fine-tuned state and race delta publication; restart the server to serve a new checkpoint")
 	}
 
 	var (
@@ -186,25 +130,17 @@ func main() {
 		info      halk.FileInfo
 		baseDelta []ingest.Record
 	)
-	lookup := func(hdr halk.CheckpointHeader) (*kg.Graph, error) {
-		d, derr := datasetFor(hdr)
-		if derr != nil {
-			return nil, derr
-		}
-		ds = d
-		return d.Train, nil
-	}
 
 	// A persisted ingest state supersedes -ckpt: WAL segments folded into
 	// it were pruned, so re-basing on the raw checkpoint would silently
 	// lose their acknowledged edges. It must load — falling back to -ckpt
 	// on a corrupt state file would lose them just as silently.
 	statePath := ingest.StatePath(*ingestDir)
-	if *ingestOn {
+	if ingestOn {
 		if _, serr := os.Stat(statePath); serr == nil {
 			var hdr halk.CheckpointHeader
 			var err error
-			m, hdr, baseDelta, err = ingest.LoadState(statePath, lookup)
+			m, hdr, baseDelta, err = ingest.LoadState(statePath, halk.SynthLookup(&ds))
 			if err != nil {
 				log.Fatalf("ingest: persisted state %s: %v (the WAL was pruned against this state; refusing to fall back to -ckpt, which would lose acknowledged edges — restore the file or discard %s to re-base)", statePath, err, *ingestDir)
 			}
@@ -212,30 +148,9 @@ func main() {
 			log.Printf("ingest: resumed from persisted state %s (%d net delta edges); -ckpt is superseded until %s is cleared", statePath, len(baseDelta), *ingestDir)
 		}
 	}
-
-	// Transient open/read failures (checkpoint not yet written by
-	// halk-train, network filesystems) retry with full-jitter backoff;
-	// failures the envelope verification proves permanent — corrupt
-	// bytes, wrong dataset — abort the retry loop immediately.
 	if m == nil {
-		loadBackoff := resil.NewBackoff(200*time.Millisecond, 5*time.Second, time.Now().UnixNano())
-		err := resil.Retry(context.Background(), *ckptRetries, loadBackoff, func() error {
-			path, err := resolveCkpt(*ckptPath)
-			if err != nil {
-				log.Printf("checkpoint load: %v (will retry)", err)
-				return err
-			}
-			ds = nil
-			m, info, err = halk.LoadCheckpointFile(path, lookup)
-			if err = classifyLoadErr(err); err != nil {
-				if resil.IsPermanent(err) {
-					log.Printf("checkpoint load: %v (permanent, not retrying)", err)
-				} else {
-					log.Printf("checkpoint load: %v (will retry)", err)
-				}
-			}
-			return err
-		})
+		var err error
+		m, ds, info, err = halk.LoadServing(context.Background(), *ckptPath, log.Printf)
 		if err != nil {
 			log.Fatalf("checkpoint load failed: %v", err)
 		}
@@ -261,9 +176,7 @@ func main() {
 		Entities:       ds.Train.Entities,
 		Relations:      ds.Train.Relations,
 		Graph:          ds.Test,
-		Workers:        *workers,
 		CacheSize:      *cache,
-		DefaultK:       *k,
 		MaxK:           *maxK,
 		MaxBatch:       *maxBatch,
 		DefaultTimeout: *timeout,
@@ -286,15 +199,11 @@ func main() {
 	if len(topology) > 0 && *shards > 0 {
 		log.Fatal("-cluster/-cluster-file and -shards are mutually exclusive: exact queries are ranked either by remote nodes or by a local engine")
 	}
-	brkCfg := func() *resil.BreakerConfig {
-		return &resil.BreakerConfig{
-			Window:            *brkWindow,
-			FailureRate:       *brkRate,
-			ConsecutiveMisses: *brkMisses,
-			OpenBase:          *brkOpen,
-			OpenMax:           *brkOpenMax,
-			Seed:              time.Now().UnixNano(),
-		}
+	// Window, trip thresholds and cool-down are resil.BreakerConfig's
+	// defaults; only the jitter seed is per process.
+	var brkCfg *resil.BreakerConfig
+	if *breaker {
+		brkCfg = &resil.BreakerConfig{Seed: time.Now().UnixNano()}
 	}
 	var ranker *halk.ShardedRanker
 	var router *cluster.Router
@@ -316,8 +225,7 @@ func main() {
 			},
 			ScanTimeout: *remoteTO,
 			HedgeDelay:  *hedge,
-			Quorum:      *quorum,
-			HealthEvery: *healthEvery,
+			Breaker:     brkCfg,
 			Metrics:     reg,
 			Logf:        log.Printf,
 		}
@@ -332,9 +240,6 @@ func main() {
 				break
 			}
 		}
-		if *breaker {
-			rcfg.Breaker = brkCfg()
-		}
 		router, err = cluster.NewRouter(rcfg)
 		if err != nil {
 			log.Fatal(err)
@@ -344,17 +249,15 @@ func main() {
 		for _, reps := range topology {
 			replicas += len(reps)
 		}
-		log.Printf("cluster router built: %d ranges, %d replicas, remote timeout %v, hedge delay %v, breakers %v, quorum %d",
-			len(topology), replicas, *remoteTO, *hedge, *breaker, *quorum)
+		log.Printf("cluster router built: %d ranges, %d replicas, remote timeout %v, hedge delay %v, breakers %v",
+			len(topology), replicas, *remoteTO, *hedge, *breaker)
 	case *shards > 0:
 		opts := shard.Options{
 			Shards:       *shards,
 			ShardTimeout: *shardTO,
 			Metrics:      reg,
 			HedgeDelay:   *hedge,
-		}
-		if *breaker {
-			opts.Breaker = brkCfg()
+			Breaker:      brkCfg,
 		}
 		ranker, err = m.NewShardedRanker(opts)
 		if err != nil {
@@ -374,9 +277,9 @@ func main() {
 	// delta snapshots through the same swap machinery hot-reload uses.
 	var srv *serve.Server
 	var ing *ingest.Ingester
-	if *ingestOn {
+	if ingestOn {
 		if len(topology) > 0 {
-			log.Fatal("-ingest requires the local model to own the embeddings; it is incompatible with -cluster router mode")
+			log.Fatal("-ingest-dir requires the local model to own the embeddings; it is incompatible with -cluster router mode")
 		}
 		wal, err := ingest.OpenWAL(*ingestDir)
 		if err != nil {
@@ -385,24 +288,24 @@ func main() {
 		if q := wal.Quarantined(); q > 0 {
 			log.Printf("ingest: quarantined %d corrupt WAL file(s) in %s (renamed *.bad)", q, *ingestDir)
 		}
-		if *ingestCompact {
-			n, err := wal.Compact(*ingestArchive)
-			if err != nil {
-				log.Fatalf("ingest: WAL compaction: %v", err)
+		// Sweep segments wholly below the durable APPLIED cursor that
+		// earlier pruning left behind (a crash between cursor write and
+		// prune, restored files). Pending segments, *.bad quarantines and
+		// the cursor file are never touched.
+		n, err := wal.Compact(*ingestArchive)
+		if err != nil {
+			log.Fatalf("ingest: WAL compaction: %v", err)
+		}
+		if n > 0 {
+			disposed := "removed"
+			if *ingestArchive != "" {
+				disposed = "archived to " + *ingestArchive
 			}
-			if n > 0 {
-				disposed := "removed"
-				if *ingestArchive != "" {
-					disposed = "archived to " + *ingestArchive
-				}
-				log.Printf("ingest: compacted %d dead WAL segment(s) below cursor %d (%s)", n, wal.AppliedSeq(), disposed)
-			}
+			log.Printf("ingest: compacted %d dead WAL segment(s) below cursor %d (%s)", n, wal.AppliedSeq(), disposed)
 		}
 		ing, err = ingest.New(ingest.Config{
 			Model:     m,
 			WAL:       wal,
-			BatchSize: *ingestBatch,
-			Interval:  *ingestEvery,
 			FineTune:  halk.FineTuneConfig{Seed: hdr.Seed},
 			Metrics:   reg,
 			Logf:      log.Printf,
@@ -412,7 +315,7 @@ func main() {
 			// segments prune — without it the log and startup replay grow
 			// without bound. Runs on the drain goroutine, the sole mutator
 			// of both the parameters and the delta ledger.
-			PersistEvery: *ingestPersist,
+			PersistEvery: persistEvery,
 			Persist: func() error {
 				return ingest.SaveState(statePath, m, hdr.Dataset, hdr.Seed, ing.GraphDelta())
 			},
@@ -453,7 +356,7 @@ func main() {
 			log.Fatalf("ingest: WAL replay: %v", err)
 		}
 		ing.Start()
-		log.Printf("ingest enabled: POST /v1/edges (wal=%s, batch=%d, drain every %v, persist every %d segments)", *ingestDir, *ingestBatch, *ingestEvery, *ingestPersist)
+		log.Printf("ingest enabled: POST /v1/edges (wal=%s, persist every %d segments)", *ingestDir, persistEvery)
 	}
 
 	if *pprofAt != "" {
@@ -484,114 +387,49 @@ func main() {
 		router.Start(ctx)
 	}
 
-	// Live membership from the topology file: SIGHUP reloads it
-	// immediately, and -cluster-watch polls its mtime. A reload diffs the
-	// file against the running topology — new replicas join in probation,
-	// removed ones leave, the range count must not change — and a
-	// malformed file is rejected whole, keeping the current topology.
+	// Live membership from the topology file: SIGHUP reloads it. A reload
+	// diffs the file against the running topology — new replicas join in
+	// probation, removed ones leave, the range count must not change —
+	// and a malformed file is rejected whole, keeping the current
+	// topology.
 	if router != nil && *clusterFile != "" {
-		reloadTopology := func(src string) {
-			top, err := cluster.ParseTopology("", *clusterFile)
-			if err != nil {
-				log.Printf("cluster-reload (%s): %v — keeping current topology", src, err)
-				return
-			}
-			if err := router.SetTopology(top); err != nil {
-				log.Printf("cluster-reload (%s): %v — keeping current topology", src, err)
-				return
-			}
-			log.Printf("cluster-reload (%s): topology v%d applied from %s", src, router.TopologyVersion(), *clusterFile)
-		}
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
 		go func() {
 			defer signal.Stop(hup)
-			mtime := time.Time{}
-			if fi, err := os.Stat(*clusterFile); err == nil {
-				mtime = fi.ModTime()
-			}
-			var tickC <-chan time.Time
-			if *clusterWatch > 0 {
-				tick := time.NewTicker(*clusterWatch)
-				defer tick.Stop()
-				tickC = tick.C
-			}
 			for {
 				select {
 				case <-ctx.Done():
 					return
 				case <-hup:
-					if fi, err := os.Stat(*clusterFile); err == nil {
-						mtime = fi.ModTime()
-					}
-					reloadTopology("SIGHUP")
-				case <-tickC:
-					fi, err := os.Stat(*clusterFile)
-					if err != nil {
-						log.Printf("cluster-watch: %v", err)
-						continue
-					}
-					if fi.ModTime().Equal(mtime) {
-						continue
-					}
-					mtime = fi.ModTime()
-					reloadTopology("mtime change")
 				}
+				top, err := cluster.ParseTopology("", *clusterFile)
+				if err == nil {
+					err = router.SetTopology(top)
+				}
+				if err != nil {
+					log.Printf("cluster-reload: %v — keeping current topology", err)
+					continue
+				}
+				log.Printf("cluster-reload: topology v%d applied from %s", router.TopologyVersion(), *clusterFile)
 			}
 		}()
-		if *clusterWatch > 0 {
-			log.Printf("cluster watcher polling %s every %v (SIGHUP reloads immediately)", *clusterFile, *clusterWatch)
-		} else {
-			log.Printf("SIGHUP reloads cluster topology from %s", *clusterFile)
-		}
+		log.Printf("SIGHUP reloads cluster topology from %s", *clusterFile)
 	}
 
 	if *ckptWatch > 0 {
-		watcher := ckpt.NewWatcher(*ckptPath)
-		watcher.Ack(info.Path)
-		go func() {
-			tick := time.NewTicker(*ckptWatch)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
+		go m.WatchCheckpoint(ctx, *ckptPath, *ckptWatch, info, status, func() {
+			if ranker != nil {
+				if err := ranker.Refresh(); err != nil {
+					log.Printf("ckpt-watch: shard snapshot refresh: %v", err)
 				}
-				path, changed, err := watcher.Poll()
-				if err != nil {
-					log.Printf("ckpt-watch: %v", err)
-					continue
-				}
-				if !changed {
-					continue
-				}
-				newInfo, err := m.ReloadFromFile(path, hdr.Dataset, hdr.Seed)
-				if err != nil {
-					// ReloadFromFile swapped nothing: the server keeps
-					// answering from the previous parameters. Ack the bad
-					// candidate so it is retried only once the path changes
-					// again (a new rotation entry, a rewritten file).
-					status.ReloadFailed()
-					watcher.Ack(path)
-					log.Printf("ckpt-watch: reload of %s failed, still serving previous checkpoint: %v", path, err)
-					continue
-				}
-				if ranker != nil {
-					if err := ranker.Refresh(); err != nil {
-						log.Printf("ckpt-watch: shard snapshot refresh: %v", err)
-					}
-				}
-				if *approx {
-					// The ANN index snapshots embeddings at build time;
-					// rebuild it over the new table and swap it in.
-					srv.SetApprox(m.NewAnswerIndex(ann.DefaultConfig(hdr.Seed)))
-				}
-				status.SetLoaded(path, hdr.Dataset, hdr.Seed, newInfo.Step, m.EntityVersion())
-				watcher.Ack(path)
-				log.Printf("ckpt-watch: hot-reloaded %s (step %d, entity version %d)", path, newInfo.Step, m.EntityVersion())
 			}
-		}()
+			if *approx {
+				// The ANN index snapshots embeddings at build time;
+				// rebuild it over the new table and swap it in.
+				srv.SetApprox(m.NewAnswerIndex(ann.DefaultConfig(hdr.Seed)))
+			}
+		}, log.Printf)
 		log.Printf("checkpoint watcher polling %s every %v", *ckptPath, *ckptWatch)
 	}
 

@@ -54,48 +54,10 @@ import (
 	"github.com/halk-kg/halk/internal/ckpt"
 	"github.com/halk-kg/halk/internal/cluster"
 	"github.com/halk-kg/halk/internal/halk"
-	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/obs"
 	"github.com/halk-kg/halk/internal/query"
-	"github.com/halk-kg/halk/internal/resil"
 	"github.com/halk-kg/halk/internal/shard"
 )
-
-// datasetFor regenerates the synthetic dataset a checkpoint header
-// names (see cmd/halk-serve).
-func datasetFor(hdr halk.CheckpointHeader) (*kg.Dataset, error) {
-	switch hdr.Dataset {
-	case "FB15k":
-		return kg.SynthFB15k(hdr.Seed), nil
-	case "FB237":
-		return kg.SynthFB237(hdr.Seed), nil
-	case "NELL":
-		return kg.SynthNELL(hdr.Seed), nil
-	default:
-		return nil, resil.Permanent(fmt.Errorf("unknown dataset %q in checkpoint", hdr.Dataset))
-	}
-}
-
-func resolveCkpt(path string) (string, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return "", err
-	}
-	if fi.IsDir() {
-		return (&ckpt.Dir{Path: path}).LatestPath()
-	}
-	return path, nil
-}
-
-func classifyLoadErr(err error) error {
-	if err == nil || resil.IsPermanent(err) {
-		return err
-	}
-	if ckpt.IsCorrupt(err) || errors.Is(err, halk.ErrCheckpointCorrupt) || errors.Is(err, halk.ErrCheckpointMismatch) {
-		return resil.Permanent(err)
-	}
-	return err
-}
 
 // parseRange parses "-range lo:hi".
 func parseRange(s string) (lo, hi int, err error) {
@@ -117,53 +79,22 @@ func main() {
 	log.SetPrefix("halk-shard: ")
 
 	var (
-		ckptPath    = flag.String("ckpt", "halk.ckpt", "checkpoint file, or rotation directory written by halk-train -ckpt-dir (serves its newest entry)")
-		addr        = flag.String("addr", ":9000", "listen address")
-		nodeIdx     = flag.Int("node", 0, "this node's index in an N-node topology (with -nodes)")
-		nodes       = flag.Int("nodes", 1, "topology width: partition the entity table into this many contiguous ranges")
-		rangeFlag   = flag.String("range", "", "host an explicit entity range lo:hi instead of -node/-nodes")
-		shards      = flag.Int("shards", 1, "sub-shard the hosted range across this many local scan goroutines")
-		shardTO     = flag.Duration("shard-timeout", 0, "per-local-shard scan deadline; missed sub-shards degrade the scan to a partial result (0 = none)")
-		timeout     = flag.Duration("timeout", 10*time.Second, "default scan deadline when a request carries no timeout_ms")
-		maxK        = flag.Int("maxk", 1000, "cap on per-request k")
-		drain       = flag.Duration("drain", 15*time.Second, "shutdown drain budget for in-flight requests")
-		drainGrace  = flag.Duration("drain-grace", 2*time.Second, "pause between failing readiness (healthz 503 draining) and refusing connections, so routers stop sending new work first")
-		pprofAt     = flag.String("pprof-addr", "", "separate debug listen address exposing /debug/pprof/ and /metrics (empty disables)")
-		ckptRetries = flag.Int("ckpt-retries", 3, "checkpoint-load attempts before giving up")
-		ckptWatch   = flag.Duration("ckpt-watch", 0, "poll the -ckpt path this often and hot-reload newer checkpoints (0 disables)")
+		ckptPath   = flag.String("ckpt", "halk.ckpt", "checkpoint file, or rotation directory written by halk-train -ckpt-dir (serves its newest entry)")
+		addr       = flag.String("addr", ":9000", "listen address")
+		nodeIdx    = flag.Int("node", 0, "this node's index in an N-node topology (with -nodes)")
+		nodes      = flag.Int("nodes", 1, "topology width: partition the entity table into this many contiguous ranges")
+		rangeFlag  = flag.String("range", "", "host an explicit entity range lo:hi instead of -node/-nodes")
+		shards     = flag.Int("shards", 1, "sub-shard the hosted range across this many local scan goroutines")
+		timeout    = flag.Duration("timeout", 10*time.Second, "default scan deadline when a request carries no timeout_ms")
+		maxK       = flag.Int("maxk", 1000, "cap on per-request k")
+		drain      = flag.Duration("drain", 15*time.Second, "shutdown drain budget for in-flight requests")
+		drainGrace = flag.Duration("drain-grace", 2*time.Second, "pause between failing readiness (healthz 503 draining) and refusing connections, so routers stop sending new work first")
+		pprofAt    = flag.String("pprof-addr", "", "separate debug listen address exposing /debug/pprof/ and /metrics (empty disables)")
+		ckptWatch  = flag.Duration("ckpt-watch", 0, "poll the -ckpt path this often and hot-reload newer checkpoints (0 disables)")
 	)
 	flag.Parse()
 
-	var (
-		ds   *kg.Dataset
-		m    *halk.Model
-		info halk.FileInfo
-	)
-	loadBackoff := resil.NewBackoff(200*time.Millisecond, 5*time.Second, time.Now().UnixNano())
-	err := resil.Retry(context.Background(), *ckptRetries, loadBackoff, func() error {
-		path, err := resolveCkpt(*ckptPath)
-		if err != nil {
-			log.Printf("checkpoint load: %v (will retry)", err)
-			return err
-		}
-		ds = nil
-		m, info, err = halk.LoadCheckpointFile(path, func(hdr halk.CheckpointHeader) (*kg.Graph, error) {
-			d, derr := datasetFor(hdr)
-			if derr != nil {
-				return nil, derr
-			}
-			ds = d
-			return d.Train, nil
-		})
-		if err = classifyLoadErr(err); err != nil {
-			if resil.IsPermanent(err) {
-				log.Printf("checkpoint load: %v (permanent, not retrying)", err)
-			} else {
-				log.Printf("checkpoint load: %v (will retry)", err)
-			}
-		}
-		return err
-	})
+	m, ds, info, err := halk.LoadServing(context.Background(), *ckptPath, log.Printf)
 	if err != nil {
 		log.Fatalf("checkpoint load failed: %v", err)
 	}
@@ -190,11 +121,7 @@ func main() {
 	status.SetLoaded(info.Path, hdr.Dataset, hdr.Seed, info.Step, m.EntityVersion())
 	status.Register(reg)
 
-	ranker, err := m.NewRangeRanker(lo, hi, shard.Options{
-		Shards:       *shards,
-		ShardTimeout: *shardTO,
-		Metrics:      reg,
-	})
+	ranker, err := m.NewRangeRanker(lo, hi, shard.Options{Shards: *shards, Metrics: reg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -236,40 +163,11 @@ func main() {
 	defer stop()
 
 	if *ckptWatch > 0 {
-		watcher := ckpt.NewWatcher(*ckptPath)
-		watcher.Ack(info.Path)
-		go func() {
-			tick := time.NewTicker(*ckptWatch)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-				}
-				path, changed, err := watcher.Poll()
-				if err != nil {
-					log.Printf("ckpt-watch: %v", err)
-					continue
-				}
-				if !changed {
-					continue
-				}
-				newInfo, err := m.ReloadFromFile(path, hdr.Dataset, hdr.Seed)
-				if err != nil {
-					status.ReloadFailed()
-					watcher.Ack(path)
-					log.Printf("ckpt-watch: reload of %s failed, still serving previous checkpoint: %v", path, err)
-					continue
-				}
-				if err := ranker.Refresh(); err != nil {
-					log.Printf("ckpt-watch: snapshot refresh: %v", err)
-				}
-				status.SetLoaded(path, hdr.Dataset, hdr.Seed, newInfo.Step, m.EntityVersion())
-				watcher.Ack(path)
-				log.Printf("ckpt-watch: hot-reloaded %s (step %d, entity version %d)", path, newInfo.Step, m.EntityVersion())
+		go m.WatchCheckpoint(ctx, *ckptPath, *ckptWatch, info, status, func() {
+			if err := ranker.Refresh(); err != nil {
+				log.Printf("ckpt-watch: snapshot refresh: %v", err)
 			}
-		}()
+		}, log.Printf)
 		log.Printf("checkpoint watcher polling %s every %v", *ckptPath, *ckptWatch)
 	}
 

@@ -52,7 +52,7 @@ func main() {
 	)
 	flag.Parse()
 
-	ds, err := datasetByName(*dataset, *seed)
+	ds, err := kg.SynthByName(*dataset, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -167,16 +167,4 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("checkpoint written to %s", *out)
-}
-
-func datasetByName(name string, seed int64) (*kg.Dataset, error) {
-	switch name {
-	case "FB15k":
-		return kg.SynthFB15k(seed), nil
-	case "FB237":
-		return kg.SynthFB237(seed), nil
-	case "NELL":
-		return kg.SynthNELL(seed), nil
-	}
-	return nil, fmt.Errorf("unknown dataset %q (want FB15k, FB237 or NELL)", name)
 }

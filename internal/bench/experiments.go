@@ -336,11 +336,3 @@ func datasetNames(ds []*kg.Dataset) []string {
 	}
 	return out
 }
-
-// RunAll regenerates every table and figure in paper order.
-func (s *Suite) RunAll() []*Table {
-	return []*Table{
-		s.Table1(), s.Table2(), s.Table3(), s.Table4(),
-		s.Table5(), s.Fig6a(), s.Fig6b(), s.Fig6c(), s.Table6(),
-	}
-}

@@ -32,9 +32,6 @@ type Config struct {
 	// PruneTopK is the per-variable candidate count for the pruning
 	// experiment (paper: 20).
 	PruneTopK int
-	// Shards, when positive, restricts the Sharding experiment to that
-	// single shard count; 0 sweeps {1, 2, 4, GOMAXPROCS}.
-	Shards int
 	// Out receives progress lines; nil silences them.
 	Out io.Writer
 }

@@ -64,8 +64,8 @@ var (
 // *os.PathError from Open/Read, which may be transient.
 var (
 	// ErrNotCheckpoint is returned for a file without the envelope magic
-	// (including an empty file). Legacy pre-envelope checkpoints land
-	// here, so callers can fall back to a raw read if they support them.
+	// (including an empty file, and a bare gob stream no writer in this
+	// repository produces).
 	ErrNotCheckpoint = errors.New("ckpt: not a checkpoint envelope (bad or missing magic)")
 	// ErrVersion is returned for an envelope written by a newer (or
 	// corrupted) format version.

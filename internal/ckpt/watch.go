@@ -27,16 +27,18 @@ type Watcher struct {
 // whose newest entry is the candidate.
 func NewWatcher(path string) *Watcher { return &Watcher{path: path} }
 
-// resolve returns the candidate file for the watched path.
-func (w *Watcher) resolve() (string, error) {
-	fi, err := os.Stat(w.path)
+// Resolve maps a checkpoint path to a concrete file: the path itself,
+// or the newest entry when it is a rotation directory (manifest first,
+// directory scan as fallback).
+func Resolve(path string) (string, error) {
+	fi, err := os.Stat(path)
 	if err != nil {
 		return "", err
 	}
 	if fi.IsDir() {
-		return (&Dir{Path: w.path}).LatestPath()
+		return (&Dir{Path: path}).LatestPath()
 	}
-	return w.path, nil
+	return path, nil
 }
 
 // Ack records path as the currently loaded checkpoint, so Poll only
@@ -58,7 +60,7 @@ func (w *Watcher) Ack(path string) {
 // not an error — it reports no change (the checkpoint may simply not
 // have been written yet).
 func (w *Watcher) Poll() (path string, changed bool, err error) {
-	cand, err := w.resolve()
+	cand, err := Resolve(w.path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return "", false, nil

@@ -97,22 +97,18 @@ func startTopology(t *testing.T, m *halk.Model, ds *kg.Dataset, n int, mutate fu
 	return nodes
 }
 
-func addrsOf(nodes []*testNode) []string {
-	addrs := make([]string, len(nodes))
-	for i, tn := range nodes {
-		addrs[i] = tn.addr()
-	}
-	return addrs
-}
-
 // rep0 returns range ri's sole replica — legacy tests drive 1-replica
 // topologies where startTopology maps one node per range.
 func rep0(rt *Router, ri int) *replica { return rt.ranges[ri].list()[0] }
 
 func newTestRouter(t *testing.T, m *halk.Model, nodes []*testNode, mutate func(*Config)) *Router {
 	t.Helper()
+	ranges := make([][]string, len(nodes)) // one 1-replica range per node
+	for i, tn := range nodes {
+		ranges[i] = []string{tn.addr()}
+	}
 	cfg := Config{
-		Remotes: addrsOf(nodes),
+		Ranges:  ranges,
 		Embed:   embedFn(m),
 		Metrics: obs.NewRegistry(),
 	}

@@ -444,7 +444,7 @@ func (rt *Router) probeOnce(rs *rangeSet, rep *replica) error {
 		rep.st.setHealth(h, true)
 		return nil
 	}
-	req := &ScanRequest{Arcs: specs, K: rt.probeK()}
+	req := &ScanRequest{Arcs: specs, K: probeK}
 	got, err := rep.remote.Scan(ctx, req)
 	if err != nil {
 		return fmt.Errorf("probe scan: %w", err)
@@ -486,12 +486,8 @@ func (rt *Router) probeSpecs() []ArcSpec {
 	return nil
 }
 
-func (rt *Router) probeK() int {
-	if rt.cfg.ProbeK > 0 {
-		return rt.cfg.ProbeK
-	}
-	return 8
-}
+// probeK is the identity probe scan's K.
+const probeK = 8
 
 // admit moves rep into the failover pool after a passed probe: its
 // latency EWMA is reseeded to the active peers' mean (a stale EWMA

@@ -23,15 +23,12 @@ import (
 
 // Config assembles a Router.
 type Config struct {
-	// Remotes are the node addresses ("host:port" or URLs), one per
-	// hosted entity range — the pre-replica 1-replica form, kept for
-	// back compatibility. Exactly one of Remotes and Ranges is required.
-	Remotes []string
 	// Ranges is the replica topology: Ranges[i] lists entity range i's
-	// replica endpoints. Every replica of a range must host the same
-	// [lo, hi) entity slice of the same checkpoint lineage; the router
-	// picks a primary per range, fails over across the set, and only
-	// degrades the answer to partial when the whole set is exhausted.
+	// replica endpoints ("host:port" or URLs). Required. Every replica
+	// of a range must host the same [lo, hi) entity slice of the same
+	// checkpoint lineage; the router picks a primary per range, fails
+	// over across the set, and only degrades the answer to partial when
+	// the whole set is exhausted.
 	Ranges [][]string
 	// Embed turns a query DAG into wire arcs; halk-serve wires the
 	// model's EmbedQueryLocked. Required.
@@ -55,12 +52,6 @@ type Config struct {
 	// front (immediate failover to a sibling) until a half-open probe
 	// succeeds.
 	Breaker *resil.BreakerConfig
-	// Quorum is how many *ranges* must be ready on a new entity version
-	// — a range is ready when at least one live replica serves it —
-	// before the router flips its served version — and with it the
-	// answer cache's key namespace — during a checkpoint rollout. 0
-	// means a majority (len(ranges)/2 + 1).
-	Quorum int
 	// HealthEvery is the Start loop's health-poll period; 0 means 2s.
 	HealthEvery time.Duration
 	// Metrics is the registry the per-replica counters register on; nil
@@ -77,8 +68,6 @@ type Config struct {
 	// When unset the probe falls back to the last gather's arcs; with
 	// neither available, probes admit on health alone.
 	Probe func() []ArcSpec
-	// ProbeK is the probe scan's K; 0 means 8.
-	ProbeK int
 	// ProbeBase/ProbeMax bound the prober's full-jitter backoff between
 	// probe attempts; 0 means 250ms / 5s.
 	ProbeBase time.Duration
@@ -177,7 +166,7 @@ type Router struct {
 	// version is the quorum-agreed entity version — what SnapshotVersion
 	// reports, what gathers pin replica selection to, and what the serve
 	// cache namespaces keys by. It only moves forward, and only once
-	// Quorum ranges have a live replica on the new version (see
+	// a quorum of ranges have a live replica on the new version (see
 	// CheckHealth), so a half-rolled-out checkpoint never flips the
 	// cache back and forth.
 	version atomic.Uint64
@@ -196,17 +185,8 @@ type Router struct {
 // version.
 func NewRouter(cfg Config) (*Router, error) {
 	ranges := cfg.Ranges
-	if len(cfg.Remotes) > 0 {
-		if len(ranges) > 0 {
-			return nil, fmt.Errorf("cluster: Config.Remotes and Config.Ranges are mutually exclusive")
-		}
-		ranges = make([][]string, len(cfg.Remotes))
-		for i, addr := range cfg.Remotes {
-			ranges[i] = []string{addr}
-		}
-	}
 	if len(ranges) == 0 {
-		return nil, fmt.Errorf("cluster: a topology (Config.Remotes or Config.Ranges) is required")
+		return nil, fmt.Errorf("cluster: a topology (Config.Ranges) is required")
 	}
 	for i, reps := range ranges {
 		if len(reps) == 0 {
@@ -215,9 +195,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	if cfg.Embed == nil {
 		return nil, fmt.Errorf("cluster: Config.Embed is required")
-	}
-	if cfg.Quorum < 0 || cfg.Quorum > len(ranges) {
-		return nil, fmt.Errorf("cluster: Quorum %d out of range for %d ranges", cfg.Quorum, len(ranges))
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
@@ -292,13 +269,11 @@ func (rt *Router) Topology() [][]string {
 	return out
 }
 
-// quorum resolves the configured quorum (0 = majority of ranges).
-func (rt *Router) quorum() int {
-	if rt.cfg.Quorum > 0 {
-		return rt.cfg.Quorum
-	}
-	return len(rt.ranges)/2 + 1
-}
+// quorum is how many ranges must be ready on a new entity version — a
+// range is ready when at least one live replica serves it — before the
+// router flips its served version, and with it the answer cache's key
+// namespace, during a checkpoint rollout: a majority.
+func (rt *Router) quorum() int { return len(rt.ranges)/2 + 1 }
 
 // Start launches the health loop: an immediate sweep, then one every
 // HealthEvery until ctx dies. The loop keeps per-replica liveness,
@@ -337,9 +312,9 @@ func (rt *Router) Start(ctx context.Context) {
 //
 // The rollout rule is computed over ranges, not nodes: a range is ready
 // on version v when at least one of its live replicas reports v or
-// newer, and the served version advances to the highest v at least
-// Quorum ranges are ready on. With gathers pinned to replicas matching
-// the served version, a staggered rollout that keeps one replica per
+// newer, and the served version advances to the highest v a quorum of
+// ranges is ready on. With gathers pinned to replicas matching the
+// served version, a staggered rollout that keeps one replica per
 // range on each version serves whole answers throughout.
 func (rt *Router) CheckHealth(ctx context.Context) int {
 	var wg sync.WaitGroup
@@ -386,7 +361,7 @@ func (rt *Router) CheckHealth(ctx context.Context) int {
 	}
 	wg.Wait()
 
-	// Quorum flip: the highest version at least Quorum ranges have a
+	// Quorum flip: the highest version a quorum of ranges have a
 	// live replica on. rangeMax[i] is range i's best live version;
 	// readiness on v is monotone in v, so scanning candidate versions
 	// descending finds the flip target.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"github.com/halk-kg/halk/internal/ckpt"
 	"github.com/halk-kg/halk/internal/kg"
@@ -28,8 +27,8 @@ type CheckpointHeader struct {
 // entry, instead of re-attempting.
 var (
 	// ErrCheckpointCorrupt wraps a decode failure inside the checkpoint
-	// payload: a truncated stream, a bit-flipped legacy file, an
-	// unknown tensor, a shape mismatch, or an empty file.
+	// payload: a truncated stream, an unknown tensor or a shape
+	// mismatch.
 	ErrCheckpointCorrupt = errors.New("halk: checkpoint payload corrupt")
 	// ErrCheckpointMismatch marks a structurally valid checkpoint that
 	// belongs to a different model: wrong dataset, wrong dataset seed,
@@ -93,33 +92,20 @@ type FileInfo struct {
 	Path   string
 	Header CheckpointHeader
 	// Step is the training step the checkpoint was cut at, or -1 when
-	// the payload carries no training state (a serving-only or legacy
-	// checkpoint).
+	// the payload carries no training state (a serving-only checkpoint).
 	Step int
-	// Legacy is true when the file predates the verified envelope
-	// format (a bare gob stream written before internal/ckpt existed).
-	Legacy bool
 }
 
 // LoadCheckpointFile opens, verifies and loads a checkpoint file. The
 // envelope is checked end to end (magic, version, length, CRC) before
 // any payload byte is decoded, so a truncated or bit-flipped file is
 // rejected with a typed error from internal/ckpt instead of producing
-// a half-initialized model. Files without the envelope magic fall back
-// to the legacy bare-gob format, whose decode errors are typed
-// ErrCheckpointCorrupt.
+// a half-initialized model. A file without the envelope magic carries no
+// checksum to verify and fails with ckpt.ErrNotCheckpoint.
 func LoadCheckpointFile(path string, lookup func(hdr CheckpointHeader) (*kg.Graph, error)) (*Model, FileInfo, error) {
 	info := FileInfo{Path: path, Step: -1}
 	payload, err := ckpt.ReadFile(path)
-	switch {
-	case errors.Is(err, ckpt.ErrNotCheckpoint):
-		raw, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil, info, rerr
-		}
-		info.Legacy = true
-		payload = raw
-	case err != nil:
+	if err != nil {
 		return nil, info, err
 	}
 	dec := gob.NewDecoder(bytes.NewReader(payload))
@@ -148,15 +134,7 @@ func LoadCheckpointFile(path string, lookup func(hdr CheckpointHeader) (*kg.Grap
 func (m *Model) ReloadFromFile(path, wantDataset string, wantSeed int64) (FileInfo, error) {
 	info := FileInfo{Path: path, Step: -1}
 	payload, err := ckpt.ReadFile(path)
-	switch {
-	case errors.Is(err, ckpt.ErrNotCheckpoint):
-		raw, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return info, rerr
-		}
-		info.Legacy = true
-		payload = raw
-	case err != nil:
+	if err != nil {
 		return info, err
 	}
 	dec := gob.NewDecoder(bytes.NewReader(payload))

@@ -167,31 +167,6 @@ func TestSetEntityAnglesValidates(t *testing.T) {
 	}
 }
 
-// BenchmarkFastDistances guards the hot loop: it must stay free of
-// per-call allocation bursts (the output vector is the only allocation).
-func BenchmarkFastDistances(b *testing.B) {
-	ds := kg.SynthFB237(45)
-	m := New(ds.Train, testConfig(45))
-	s := query.NewSampler(ds.Train, rand.New(rand.NewSource(46)))
-	q, ok := s.Sample("2i")
-	if !ok {
-		b.Fatal("sampling failed")
-	}
-	arcs := m.EmbedQuery(q)
-	pre := make([]preArc, len(arcs))
-	for i, a := range arcs {
-		pre[i] = m.prepareArc(a)
-	}
-	m.trig.tables(m.ent.Data, m.EntityVersion()) // warm the cache
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.fastDistances(nil, pre); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestFastDistancesSpeed(t *testing.T) {
 	m, ds := testModel(t, 45)
 	s := query.NewSampler(ds.Train, rand.New(rand.NewSource(46)))

@@ -268,7 +268,7 @@ func TestIngesterBackpressureMeasuresDrainerLag(t *testing.T) {
 
 // TestIngesterReplayBatchSizeInvariance: the micro-batch size is pinned
 // into each segment at append time, so restarting with a different
-// -ingest-batch replays already-logged segments into byte-identical
+// Config.BatchSize replays already-logged segments into byte-identical
 // embeddings (the (seq, batch) fine-tune seeds only reproduce the
 // original update if chunk boundaries match).
 func TestIngesterReplayBatchSizeInvariance(t *testing.T) {

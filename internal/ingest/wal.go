@@ -77,7 +77,7 @@ var ErrGap = errors.New("ingest: wal segment sequence gap")
 // segPayload is the gob payload of one segment: the records plus the
 // fine-tune micro-batch size pinned at append time. Replay splits the
 // segment into the same micro-batches it was first applied with, so the
-// reconstruction is bit-identical even if -ingest-batch changes across
+// reconstruction is bit-identical even if Config.BatchSize changes across
 // restarts.
 type segPayload struct {
 	BatchSize int

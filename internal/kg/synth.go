@@ -210,3 +210,18 @@ func SynthNELL(seed int64) *Dataset {
 func Standard(seed int64) []*Dataset {
 	return []*Dataset{SynthFB15k(seed), SynthFB237(seed), SynthNELL(seed)}
 }
+
+// SynthByName generates the stand-in called name ("FB15k", "FB237" or
+// "NELL") — the Dataset.Name a checkpoint header or a -dataset flag
+// carries.
+func SynthByName(name string, seed int64) (*Dataset, error) {
+	switch name {
+	case "FB15k":
+		return SynthFB15k(seed), nil
+	case "FB237":
+		return SynthFB237(seed), nil
+	case "NELL":
+		return SynthNELL(seed), nil
+	}
+	return nil, fmt.Errorf("kg: unknown dataset %q (want FB15k, FB237 or NELL)", name)
+}

@@ -3,6 +3,7 @@ package kg
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -63,6 +64,37 @@ func TestStandardDatasets(t *testing.T) {
 		}
 		if ds.Train.NumRelations() < 10 {
 			t.Errorf("%s: too few relations: %d", ds.Name, ds.Train.NumRelations())
+		}
+	}
+}
+
+// TestSynthByName: each stand-in's name generates the dataset its own
+// constructor does — the name a checkpoint header carries is enough to
+// rebuild the graph — and any other name is an error.
+func TestSynthByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want *Dataset // nil: the name is unknown
+	}{
+		{"FB15k", SynthFB15k(3)},
+		{"FB237", SynthFB237(3)},
+		{"NELL", SynthNELL(3)},
+		{"fb237", nil},
+		{"", nil},
+	} {
+		got, err := SynthByName(tc.name, 3)
+		if tc.want == nil {
+			if err == nil || got != nil {
+				t.Errorf("SynthByName(%q) = %v, %v; want an error", tc.name, got, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("SynthByName(%q): %v", tc.name, err)
+		}
+		if got.Name != tc.name || !reflect.DeepEqual(got.Train.Triples(), tc.want.Train.Triples()) ||
+			!reflect.DeepEqual(got.Test.Triples(), tc.want.Test.Triples()) {
+			t.Errorf("SynthByName(%q) differs from the %s constructor's dataset", tc.name, tc.name)
 		}
 	}
 }
