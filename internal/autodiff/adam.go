@@ -27,6 +27,7 @@ func (a *Adam) Step(p *Params, scale float64) {
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
 	inv := 1 / scale
 	for _, t := range p.All() {
+		t.ensureState()
 		for i, g := range t.Grad {
 			g *= inv
 			t.M[i] = a.Beta1*t.M[i] + (1-a.Beta1)*g

@@ -9,6 +9,9 @@ func (t *Tape) Repeat(a V, k int) V {
 	for i := 0; i < k; i++ {
 		copy(v[i*n:(i+1)*n], av)
 	}
+	if t.forward {
+		return t.push(v, nil)
+	}
 	var res V
 	res = t.push(v, func() {
 		g := t.nodes[res.id].grad
@@ -41,6 +44,9 @@ func (t *Tape) SumSegments(a V, segLen int) V {
 		}
 		v[i] = s
 	}
+	if t.forward {
+		return t.push(v, nil)
+	}
 	var res V
 	res = t.push(v, func() {
 		g := t.nodes[res.id].grad
@@ -63,6 +69,9 @@ func (t *Tape) Slice(a V, start, n int) V {
 	}
 	v := t.alloc(n)
 	copy(v, a.Value()[start:start+n])
+	if t.forward {
+		return t.push(v, nil)
+	}
 	var res V
 	res = t.push(v, func() {
 		g := t.nodes[res.id].grad

@@ -10,6 +10,9 @@ func (t *Tape) Add(a, b V) V {
 	for i := range v {
 		v[i] = av[i] + bv[i]
 	}
+	if t.forward {
+		return t.push(v, nil)
+	}
 	var res V
 	res = t.push(v, func() {
 		g := t.nodes[res.id].grad
@@ -29,6 +32,9 @@ func (t *Tape) Sub(a, b V) V {
 	av, bv := a.Value(), b.Value()
 	for i := range v {
 		v[i] = av[i] - bv[i]
+	}
+	if t.forward {
+		return t.push(v, nil)
 	}
 	var res V
 	res = t.push(v, func() {
@@ -50,6 +56,9 @@ func (t *Tape) Mul(a, b V) V {
 	for i := range v {
 		v[i] = av[i] * bv[i]
 	}
+	if t.forward {
+		return t.push(v, nil)
+	}
 	var res V
 	res = t.push(v, func() {
 		g := t.nodes[res.id].grad
@@ -69,6 +78,9 @@ func (t *Tape) Scale(a V, c float64) V {
 	for i := range v {
 		v[i] = c * av[i]
 	}
+	if t.forward {
+		return t.push(v, nil)
+	}
 	var res V
 	res = t.push(v, func() {
 		g := t.nodes[res.id].grad
@@ -86,6 +98,9 @@ func (t *Tape) AddScalar(a V, c float64) V {
 	av := a.Value()
 	for i := range v {
 		v[i] = av[i] + c
+	}
+	if t.forward {
+		return t.push(v, nil)
 	}
 	var res V
 	res = t.push(v, func() {
@@ -106,6 +121,9 @@ func (t *Tape) unary(a V, f, df func(x float64) float64) V {
 	av := a.Value()
 	for i := range v {
 		v[i] = f(av[i])
+	}
+	if t.forward {
+		return t.push(v, nil)
 	}
 	var res V
 	res = t.push(v, func() {
@@ -207,6 +225,9 @@ func (t *Tape) Min(a, b V) V {
 	for i := range v {
 		v[i] = math.Min(av[i], bv[i])
 	}
+	if t.forward {
+		return t.push(v, nil)
+	}
 	var res V
 	res = t.push(v, func() {
 		g := t.nodes[res.id].grad
@@ -231,6 +252,9 @@ func (t *Tape) Max(a, b V) V {
 	for i := range v {
 		v[i] = math.Max(av[i], bv[i])
 	}
+	if t.forward {
+		return t.push(v, nil)
+	}
 	var res V
 	res = t.push(v, func() {
 		g := t.nodes[res.id].grad
@@ -253,6 +277,9 @@ func (t *Tape) Atan2(y, x V) V {
 	yv, xv := y.Value(), x.Value()
 	for i := range v {
 		v[i] = math.Atan2(yv[i], xv[i])
+	}
+	if t.forward {
+		return t.push(v, nil)
 	}
 	var res V
 	res = t.push(v, func() {
@@ -282,6 +309,9 @@ func (t *Tape) Concat(xs ...V) V {
 		copy(v[off:], x.Value())
 		off += x.Len()
 	}
+	if t.forward {
+		return t.push(v, nil)
+	}
 	var res V
 	res = t.push(v, func() {
 		g := t.nodes[res.id].grad
@@ -306,6 +336,9 @@ func (t *Tape) Sum(a V) V {
 	}
 	v := t.alloc(1)
 	v[0] = s
+	if t.forward {
+		return t.push(v, nil)
+	}
 	var res V
 	res = t.push(v, func() {
 		g := t.nodes[res.id].grad[0]
@@ -407,6 +440,9 @@ func (t *Tape) MatVec(w, x, b V, rows, cols int) V {
 			s += row[c] * xc
 		}
 		v[r] = s
+	}
+	if t.forward {
+		return t.push(v, nil)
 	}
 	var res V
 	res = t.push(v, func() {

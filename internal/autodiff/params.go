@@ -12,7 +12,10 @@ import (
 
 // Tensor is a named, trainable parameter: a dense row-major matrix (or a
 // vector when Rows == 1). Grad accumulates gradients between optimizer
-// steps; M and Vm are the Adam moment buffers.
+// steps; M and Vm are the Adam moment buffers. All three are nil until
+// training needs them — Grad from the first backward pass into the
+// tensor (under mu), the moments from the first optimizer step or moment
+// checkpoint — so a process that only serves holds Data alone.
 type Tensor struct {
 	Name string
 	Rows int
@@ -31,9 +34,16 @@ func (t *Tensor) Row(i int) []float64 { return t.Data[i*t.Cols : (i+1)*t.Cols] }
 
 // AddGrad accumulates g into the gradient of row i. It is safe for
 // concurrent use by multiple goroutines.
-func (t *Tensor) AddGrad(i int, g []float64) {
+func (t *Tensor) AddGrad(i int, g []float64) { t.addGrad(i*t.Cols, g) }
+
+// addGrad accumulates g into Grad[off:off+len(g)] under mu, which is
+// also the only place a backward pass allocates Grad.
+func (t *Tensor) addGrad(off int, g []float64) {
 	t.mu.Lock()
-	gr := t.Grad[i*t.Cols : (i+1)*t.Cols]
+	if t.Grad == nil {
+		t.Grad = make([]float64, len(t.Data))
+	}
+	gr := t.Grad[off : off+len(g)]
 	for j := range g {
 		gr[j] += g[j]
 	}
@@ -47,21 +57,36 @@ func (t *Tensor) ZeroGrad() {
 	}
 }
 
-// Leaf registers row i of the tensor on the tape as a differentiable leaf.
+// ensureState allocates the training buffers that are still nil, for the
+// single-goroutine optimizer and checkpoint paths; backward passes use addGrad.
+func (t *Tensor) ensureState() {
+	if t.Grad == nil {
+		t.Grad = make([]float64, len(t.Data))
+	}
+	if t.M == nil {
+		t.M = make([]float64, len(t.Data))
+		t.Vm = make([]float64, len(t.Data))
+	}
+}
+
+// Leaf registers row i of the tensor on the tape as a differentiable
+// leaf. A forward-only tape aliases the row (no copy, no gradient sink):
+// the caller keeps writers of the tensor out until it is done with it.
 func (t *Tensor) Leaf(tape *Tape, i int) V {
+	if tape.forward {
+		return tape.push(t.Row(i), nil)
+	}
 	return tape.Leaf(t.Row(i), func(g []float64) { t.AddGrad(i, g) })
 }
 
 // LeafAll registers the whole tensor (flattened) as a leaf; used for
-// weight matrices of linear layers.
+// weight matrices of linear layers. A forward-only tape aliases Data,
+// as in Leaf.
 func (t *Tensor) LeafAll(tape *Tape) V {
-	return tape.Leaf(t.Data, func(g []float64) {
-		t.mu.Lock()
-		for j := range g {
-			t.Grad[j] += g[j]
-		}
-		t.mu.Unlock()
-	})
+	if tape.forward {
+		return tape.push(t.Data, nil)
+	}
+	return tape.Leaf(t.Data, func(g []float64) { t.addGrad(0, g) })
 }
 
 // Params is a registry of named tensors making up a model.
@@ -72,8 +97,8 @@ type Params struct {
 // NewParams returns an empty parameter registry.
 func NewParams() *Params { return &Params{byName: make(map[string]*Tensor)} }
 
-// New allocates and registers a zero tensor. It panics if the name is
-// already taken.
+// New allocates and registers a zero tensor (values only, see Tensor).
+// It panics if the name is already taken.
 func (p *Params) New(name string, rows, cols int) *Tensor {
 	if _, ok := p.byName[name]; ok {
 		panic(fmt.Sprintf("autodiff: duplicate parameter %q", name))
@@ -81,9 +106,6 @@ func (p *Params) New(name string, rows, cols int) *Tensor {
 	t := &Tensor{
 		Name: name, Rows: rows, Cols: cols,
 		Data: make([]float64, rows*cols),
-		Grad: make([]float64, rows*cols),
-		M:    make([]float64, rows*cols),
-		Vm:   make([]float64, rows*cols),
 	}
 	p.byName[name] = t
 	return t
@@ -175,6 +197,7 @@ func (p *Params) EncodeMoments(enc *gob.Encoder) error {
 	ts := p.All()
 	wire := make([]momentWire, len(ts))
 	for i, t := range ts {
+		t.ensureState()
 		wire[i] = momentWire{Name: t.Name, M: t.M, Vm: t.Vm}
 	}
 	return enc.Encode(wire)
@@ -192,6 +215,7 @@ func (p *Params) DecodeMoments(dec *gob.Decoder) error {
 		if t == nil {
 			return fmt.Errorf("autodiff: load moments: unknown tensor %q", mw.Name)
 		}
+		t.ensureState()
 		if len(mw.M) != len(t.M) || len(mw.Vm) != len(t.Vm) {
 			return fmt.Errorf("autodiff: load moments: tensor %q size mismatch", mw.Name)
 		}

@@ -154,7 +154,7 @@ func (be *BetaE) Loss(t *autodiff.Tape, q *query.Query, negSamples int, rng *ran
 
 // Distances implements model.Interface.
 func (be *BetaE) Distances(n *query.Node) []float64 {
-	t := autodiff.NewTape()
+	t := autodiff.NewForwardTape()
 	disjuncts := query.DNF(n)
 	type vdist struct{ alpha, beta []float64 }
 	dists := make([]vdist, len(disjuncts))

@@ -200,7 +200,7 @@ func (c *ConE) Loss(t *autodiff.Tape, q *query.Query, negSamples int, rng *rand.
 
 // Distances implements model.Interface.
 func (c *ConE) Distances(n *query.Node) []float64 {
-	t := autodiff.NewTape()
+	t := autodiff.NewForwardTape()
 	disjuncts := query.DNF(n)
 	type vcone struct{ axis, ap []float64 }
 	cones := make([]vcone, len(disjuncts))

@@ -113,7 +113,7 @@ func (gq *GQE) Loss(t *autodiff.Tape, q *query.Query, negSamples int, rng *rand.
 
 // Distances implements model.Interface.
 func (gq *GQE) Distances(n *query.Node) []float64 {
-	t := autodiff.NewTape()
+	t := autodiff.NewForwardTape()
 	disjuncts := query.DNF(n)
 	embs := make([][]float64, len(disjuncts))
 	for i, d := range disjuncts {

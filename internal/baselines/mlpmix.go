@@ -121,7 +121,7 @@ func (mm *MLPMix) Loss(t *autodiff.Tape, q *query.Query, negSamples int, rng *ra
 
 // Distances implements model.Interface.
 func (mm *MLPMix) Distances(n *query.Node) []float64 {
-	t := autodiff.NewTape()
+	t := autodiff.NewForwardTape()
 	disjuncts := query.DNF(n)
 	embs := make([][]float64, len(disjuncts))
 	for i, d := range disjuncts {

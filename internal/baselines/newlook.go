@@ -204,7 +204,7 @@ func (nl *NewLook) Loss(t *autodiff.Tape, q *query.Query, negSamples int, rng *r
 
 // Distances implements model.Interface.
 func (nl *NewLook) Distances(n *query.Node) []float64 {
-	t := autodiff.NewTape()
+	t := autodiff.NewForwardTape()
 	disjuncts := query.DNF(n)
 	type vbox struct{ c, o []float64 }
 	boxes := make([]vbox, len(disjuncts))

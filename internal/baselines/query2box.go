@@ -147,7 +147,7 @@ func (qb *Query2Box) Loss(t *autodiff.Tape, q *query.Query, negSamples int, rng 
 
 // Distances implements model.Interface.
 func (qb *Query2Box) Distances(n *query.Node) []float64 {
-	t := autodiff.NewTape()
+	t := autodiff.NewForwardTape()
 	disjuncts := query.DNF(n)
 	type vbox struct{ c, o []float64 }
 	boxes := make([]vbox, len(disjuncts))

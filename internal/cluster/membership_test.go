@@ -5,11 +5,14 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/halk-kg/halk/internal/obs"
 	"github.com/halk-kg/halk/internal/query"
 	"github.com/halk-kg/halk/internal/resil"
 	"github.com/halk-kg/halk/internal/shard"
@@ -539,6 +542,80 @@ func TestQueueDepthWeightsPrimary(t *testing.T) {
 		}
 	}
 	_ = ds
+}
+
+// TestGatherReplansWhenMembershipMoved pins the failure the rolling
+// restart below hit about once in ten runs: a gather plans on a range's
+// replica set, is descheduled, and by the time its attempts run every
+// replica it planned on has been rolled out while a replacement serves.
+// Here the stall is made certain — the only planned replica performs
+// the roll itself (join a replacement, wait for admission, leave) from
+// inside the scan it then fails — and the answer must still be whole.
+func TestGatherReplansWhenMembershipMoved(t *testing.T) {
+	m, ds := testModel(61)
+	ents := ds.Train.NumEntities()
+	old := startNode(t, m, ds, 0, ents, nil)
+	fresh := startNode(t, m, ds, 0, ents, nil)
+
+	// The first scan after arming rolls the range and fails; everything
+	// else (health checks, the admission probe's reference scan) is the
+	// old node answering normally.
+	var rt *Router
+	var armed atomic.Bool
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/scan" || !armed.CompareAndSwap(true, false) {
+			old.node.Handler().ServeHTTP(w, r)
+			return
+		}
+		if err := rt.Join(0, fresh.addr()); err != nil {
+			t.Errorf("Join: %v", err)
+			http.Error(w, "join failed", http.StatusInternalServerError)
+			return
+		}
+		// Join appended the replacement; wait for its admission probe.
+		// (No t.Fatal helpers here: this is not the test's goroutine.)
+		reps := rt.ranges[0].list()
+		rep := reps[len(reps)-1]
+		for deadline := time.Now().Add(5 * time.Second); rep.getState() != StateActive && time.Now().Before(deadline); {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if err := rt.Leave("http://" + r.Host); err != nil {
+			t.Errorf("Leave: %v", err)
+		}
+		http.Error(w, "rolled out", http.StatusServiceUnavailable)
+	}))
+	defer front.Close()
+
+	q := sampleQuery(t, query.NewSampler(ds.Test, rand.New(rand.NewSource(62))), "2i")
+	want, err := newReplicaRouter(t, m, [][]*testNode{{fresh}}, nil).RankTopK(context.Background(), q, 10)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	router, err := NewRouter(Config{
+		Ranges: [][]string{{front.URL}}, Embed: embedFn(m), Metrics: obs.NewRegistry(), Seed: 1,
+		ScanTimeout: 2 * time.Second, ProbeBase: 2 * time.Millisecond, ProbeMax: 10 * time.Millisecond,
+		Probe: func() []ArcSpec { return embedFn(m)(q) },
+	})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	defer router.Close()
+	router.CheckHealth(context.Background())
+	rt = router
+	armed.Store(true)
+
+	got, err := rt.RankTopK(context.Background(), q, 10)
+	if err != nil {
+		t.Fatalf("gather across the roll: %v", err)
+	}
+	if got.Partial || len(got.IDs) != len(want.IDs) {
+		t.Fatalf("gather across the roll: partial=%v, %d answers, want whole and %d", got.Partial, len(got.IDs), len(want.IDs))
+	}
+	for i := range want.IDs {
+		if got.IDs[i] != want.IDs[i] || math.Float64bits(got.Dists[i]) != math.Float64bits(want.Dists[i]) {
+			t.Fatalf("rank %d deviates from the healthy baseline", i)
+		}
+	}
 }
 
 // TestMembershipChaosRollingRestart is the PR's acceptance chaos suite:

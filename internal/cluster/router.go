@@ -722,6 +722,7 @@ type attemptResult struct {
 // ScanTimeout-derived deadline; losing attempts are abandoned
 // (cancelled), not awaited.
 func (rt *Router) runRange(ctx context.Context, rs *rangeSet, specs []ArcSpec, k int, gb *shard.Bound, out *remoteLocal) {
+	members := rs.reps.Load()
 	order := rt.plan(rs)
 	if len(order) == 0 {
 		// Every replica is in probation (e.g. a cluster-file swap
@@ -832,6 +833,13 @@ func (rt *Router) runRange(ctx context.Context, rs *rangeSet, specs []ArcSpec, k
 			out.skipped, out.failed = true, failed
 			return
 		}
+	}
+	if rs.reps.Load() != members && ctx.Err() == nil {
+		// The plan is exhausted but the range's membership moved under
+		// it: a gather descheduled across a replica roll finds everyone
+		// it planned on gone while the replacements serve. Plan again.
+		rt.runRange(ctx, rs, specs, k, gb, out)
+		return
 	}
 	out.skipped, out.failed = true, failed
 }

@@ -194,8 +194,12 @@ func (m *Model) FineTuneEdges(added, removed []kg.Triple, cfg FineTuneConfig) (F
 
 // applyRowSGD steps one tensor row against its accumulated gradient,
 // capping the update's L2 norm at maxStep. Rows with zero gradient are
-// left byte-identical (no multiply-by-zero rewrite).
+// left byte-identical (no multiply-by-zero rewrite), as is a tensor no
+// backward pass has reached yet (Grad is allocated on first use).
 func applyRowSGD(t *autodiff.Tensor, row int, lr, maxStep float64) {
+	if t.Grad == nil {
+		return
+	}
 	cols := t.Cols
 	grad := t.Grad[row*cols : (row+1)*cols]
 	norm := 0.0

@@ -1,11 +1,15 @@
 package halk
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"github.com/halk-kg/halk/internal/autodiff"
 	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/query"
 )
@@ -284,4 +288,67 @@ func TestSetEntityAnglesRankVisibility(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestTrainingStateAllocatedOnFirstUse pins the lazy optimizer state: a
+// fresh model holds parameter values only, fine-tuning allocates Grad
+// on exactly the tensors a backward pass reached, one Adam step
+// completes Grad/M/Vm everywhere, and the moments round-trip into a
+// CloneShapes staging registry.
+func TestTrainingStateAllocatedOnFirstUse(t *testing.T) {
+	m, _ := testModel(t, 13)
+	for _, ts := range m.params.All() {
+		if ts.Grad != nil || ts.M != nil || ts.Vm != nil {
+			t.Fatalf("fresh model: tensor %s already has training state", ts.Name)
+		}
+	}
+
+	// A 1p fine-tune reaches the embeddings and the projection heads,
+	// never the intersection / difference / negation networks.
+	negBefore := cloneData(m.params.Get("neg.center.w0").Data)
+	edge := pickNonEdge(t, m.Graph(), 7)
+	if _, err := m.FineTuneEdges([]kg.Triple{edge}, nil, FineTuneConfig{Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.ent.Grad) != len(m.ent.Data) {
+		t.Fatalf("entity Grad has %d values after a fine-tune, want %d", len(m.ent.Grad), len(m.ent.Data))
+	}
+	neg := m.params.Get("neg.center.w0")
+	if neg.Grad != nil || neg.M != nil {
+		t.Fatal("a tensor no gradient reached was given training state")
+	}
+	applyRowSGD(neg, 0, 0.1, 1) // nil Grad: nothing to step against
+	for i, v := range neg.Data {
+		if v != negBefore[i] {
+			t.Fatalf("neg.center.w0[%d] moved without a gradient", i)
+		}
+	}
+
+	autodiff.NewAdam(1e-3).Step(m.params, 1)
+	for _, ts := range m.params.All() {
+		if len(ts.Grad) != len(ts.Data) || len(ts.M) != len(ts.Data) || len(ts.Vm) != len(ts.Data) {
+			t.Fatalf("after one Adam step tensor %s has Grad/M/Vm of %d/%d/%d values, want %d",
+				ts.Name, len(ts.Grad), len(ts.M), len(ts.Vm), len(ts.Data))
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := m.params.EncodeMoments(gob.NewEncoder(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	staging := m.params.CloneShapes()
+	if st := staging.Get("entity"); st.Grad != nil || st.M != nil {
+		t.Fatal("CloneShapes allocated training state")
+	}
+	if err := staging.DecodeMoments(gob.NewDecoder(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range m.params.All() {
+		st := staging.Get(ts.Name)
+		for i := range ts.M {
+			if math.Float64bits(st.M[i]) != math.Float64bits(ts.M[i]) || math.Float64bits(st.Vm[i]) != math.Float64bits(ts.Vm[i]) {
+				t.Fatalf("tensor %s: moment %d did not round-trip", ts.Name, i)
+			}
+		}
+	}
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"github.com/halk-kg/halk/internal/autodiff"
+	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/query"
 	"github.com/halk-kg/halk/internal/shard"
 )
@@ -166,5 +169,166 @@ func TestKernelIdentityBatch(t *testing.T) {
 	defer r.Close()
 	if _, err := r.RankBatch(context.Background(), roots, ks[:1]); err == nil {
 		t.Error("mismatched roots/ks lengths: want error")
+	}
+}
+
+// sameValueArcs fails unless got and want are equal bit for bit: centers
+// and lengths by Float64bits, hot vectors element-wise.
+func sameValueArcs(t *testing.T, label string, got, want []ValueArc) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d arcs, want %d", label, len(got), len(want))
+		return
+	}
+	for i := range want {
+		if len(got[i].C) != len(want[i].C) || len(got[i].L) != len(want[i].L) || len(got[i].Hot) != len(want[i].Hot) {
+			t.Errorf("%s: arc %d has the wrong shape", label, i)
+			return
+		}
+		for j := range want[i].C {
+			if math.Float64bits(got[i].C[j]) != math.Float64bits(want[i].C[j]) {
+				t.Errorf("%s: arc %d C[%d] = %v, gradient tape %v", label, i, j, got[i].C[j], want[i].C[j])
+				return
+			}
+			if math.Float64bits(got[i].L[j]) != math.Float64bits(want[i].L[j]) {
+				t.Errorf("%s: arc %d L[%d] = %v, gradient tape %v", label, i, j, got[i].L[j], want[i].L[j])
+				return
+			}
+		}
+		for j := range want[i].Hot {
+			if got[i].Hot[j] != want[i].Hot[j] {
+				t.Errorf("%s: arc %d Hot[%d] = %v, gradient tape %v", label, i, j, got[i].Hot[j], want[i].Hot[j])
+				return
+			}
+		}
+	}
+}
+
+// embedOnGradientTape is the reference EmbedQuery is held to: the same
+// Embed on a fresh gradient tape, as every release before the
+// forward-only mode ran it.
+func embedOnGradientTape(m *Model, n *query.Node) []ValueArc {
+	tape := autodiff.NewTape()
+	var out []ValueArc
+	for _, d := range query.DNF(n) {
+		a := m.Embed(tape, d)
+		out = append(out, ValueArc{
+			C:   append([]float64(nil), a.C.Value()...),
+			L:   append([]float64(nil), a.L.Value()...),
+			Hot: a.Hot,
+		})
+	}
+	return out
+}
+
+// TestKernelIdentityForwardTape is the two-modes-equal-bits contract of
+// the online embed: for every structure × 5 sampled queries × the four
+// variants, EmbedQuery (pooled forward-only tape, leaves aliasing the
+// parameters) returns exactly what Embed returns on a gradient tape;
+// again in reverse order through the now warm, slab-reusing pool; and
+// from 8 goroutines while a writer flips the entity table, each result
+// compared with the reference of the table version it ran under.
+func TestKernelIdentityForwardTape(t *testing.T) {
+	for _, variant := range []Variant{Full, V1NewLookDiff, V2LinearNeg, V3NewLookProj} {
+		ds := kg.SynthFB237(85)
+		cfg := testConfig(85)
+		cfg.Variant = variant
+		m := New(ds.Train, cfg)
+		s := query.NewSampler(ds.Train, rand.New(rand.NewSource(86)))
+		var queries []*query.Node
+		var labels []string
+		for _, structure := range identityStructures() {
+			for i := 0; i < 5; i++ {
+				q, ok := s.Sample(structure)
+				if !ok {
+					t.Fatalf("sampling %s failed", structure)
+				}
+				queries = append(queries, q)
+				labels = append(labels, variant.String()+"/"+structure)
+			}
+		}
+		// Every pass embeds all queries before it compares any: a result
+		// that still pointed into a slab would have been overwritten by
+		// the embeds that reused the tape after it.
+		want := make([][]ValueArc, len(queries))
+		got := make([][]ValueArc, len(queries))
+		for i, q := range queries {
+			want[i] = embedOnGradientTape(m, q)
+			got[i] = m.EmbedQuery(q)
+		}
+		for i := range queries {
+			sameValueArcs(t, labels[i], got[i], want[i])
+		}
+		for i := len(queries) - 1; i >= 0; i-- {
+			got[i] = m.EmbedQuery(queries[i])
+		}
+		for i := range queries {
+			sameValueArcs(t, labels[i]+" (warm pool)", got[i], want[i])
+		}
+		if variant != Full || t.Failed() {
+			continue
+		}
+
+		// Two tables, A (the initial one) and B (every row shifted): the
+		// writer alternates them, one version bump per flip, so a
+		// version's parity names the table an embed ran against.
+		n, d := m.graph.NumEntities(), cfg.Dim
+		tables := [2][]EntityUpdate{}
+		for e := 0; e < n; e++ {
+			rowA := append([]float64(nil), m.ent.Row(e)...)
+			rowB := make([]float64, d)
+			for j := range rowB {
+				rowB[j] = math.Mod(rowA[j]+0.5+float64(j)/7, 2*math.Pi)
+			}
+			tables[0] = append(tables[0], EntityUpdate{E: kg.EntityID(e), Angles: rowA})
+			tables[1] = append(tables[1], EntityUpdate{E: kg.EntityID(e), Angles: rowB})
+		}
+		base := m.EntityVersion()
+		refs := [2][][]ValueArc{want, make([][]ValueArc, len(queries))}
+		if err := m.SetEntityAnglesBatch(tables[1]); err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			refs[1][i] = embedOnGradientTape(m, q)
+		}
+		if err := m.SetEntityAnglesBatch(tables[0]); err != nil {
+			t.Fatal(err)
+		}
+
+		stop := make(chan struct{})
+		var writer, readers sync.WaitGroup
+		writer.Add(1)
+		go func() {
+			defer writer.Done()
+			for flip := 1; ; flip++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := m.SetEntityAnglesBatch(tables[flip%2]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		for g := 0; g < 8; g++ {
+			readers.Add(1)
+			go func(g int) {
+				defer readers.Done()
+				for i := g; i < len(queries); i += 8 {
+					// The version is read under the same read-lock hold as
+					// the embed, exactly as the serving callers embed.
+					m.rankMu.RLock()
+					ver := m.EntityVersion()
+					got := m.EmbedQuery(queries[i])
+					m.rankMu.RUnlock()
+					sameValueArcs(t, labels[i]+" (concurrent)", got, refs[(ver-base)%2][i])
+				}
+			}(g)
+		}
+		readers.Wait()
+		close(stop)
+		writer.Wait()
 	}
 }

@@ -3,12 +3,14 @@ package halk
 import (
 	"context"
 	"math/rand"
+	"sync"
 
 	"github.com/halk-kg/halk/internal/autodiff"
 	"github.com/halk-kg/halk/internal/geometry"
 	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/model"
 	"github.com/halk-kg/halk/internal/query"
+	"github.com/halk-kg/halk/internal/shard"
 )
 
 // distance builds the differentiable entity-to-arc distance of
@@ -121,12 +123,21 @@ func (m *Model) Loss(t *autodiff.Tape, q *query.Query, negSamples int, rng *rand
 	return t.Add(posLoss, negLoss), true
 }
 
+// forwardTapes recycles forward-only tapes (and their value slabs)
+// across online embeds; a tape is Reset before it goes back.
+var forwardTapes = sync.Pool{New: func() any { return autodiff.NewForwardTape() }}
+
 // EmbedQuery embeds a (possibly union-containing) query and returns the
 // value-level arcs of its DNF disjuncts: centers, lengths and group hot
-// vector per disjunct. This is the online stage: a single forward pass,
-// no gradient bookkeeping retained by the caller.
+// vector per disjunct. This is the online stage: a single forward pass
+// of the same Embed the training loss runs, on a pooled forward-only
+// tape — the same arithmetic, hence the same bits, without the gradient
+// bookkeeping. The tape's leaves alias the parameter tensors, so the
+// caller holds rankMu (read side) against concurrent writers; the
+// returned arcs share no memory with the parameters or the pooled tape.
 func (m *Model) EmbedQuery(n *query.Node) []ValueArc {
-	t := autodiff.NewTape()
+	t := forwardTapes.Get().(*autodiff.Tape)
+	defer putForwardTape(t)
 	disjuncts := query.DNF(n)
 	out := make([]ValueArc, len(disjuncts))
 	for i, d := range disjuncts {
@@ -134,10 +145,31 @@ func (m *Model) EmbedQuery(n *query.Node) []ValueArc {
 		out[i] = ValueArc{
 			C:   append([]float64(nil), a.C.Value()...),
 			L:   append([]float64(nil), a.L.Value()...),
-			Hot: a.Hot,
+			Hot: a.Hot, // built fresh by the grouping per node, never tape memory
 		}
 	}
 	return out
+}
+
+func putForwardTape(t *autodiff.Tape) {
+	t.Reset()
+	forwardTapes.Put(t)
+}
+
+// prepareQuery embeds a query on the caller's forward tape and prepares
+// its arcs for scanning, reading the tape's values directly:
+// shard.PrepareArc copies the centers and derives the rest, so nothing
+// of the tape survives in the result and the caller may Reset it at
+// once. Callers must hold rankMu (read side suffices).
+func (m *Model) prepareQuery(t *autodiff.Tape, n *query.Node) []shard.Arc {
+	p := m.shardParams()
+	disjuncts := query.DNF(n)
+	pre := make([]shard.Arc, len(disjuncts))
+	for i, d := range disjuncts {
+		a := m.Embed(t, d)
+		pre[i] = shard.PrepareArc(p, a.C.Value(), a.L.Value(), a.Hot)
+	}
+	return pre
 }
 
 // ValueArc is a plain-value arc embedding used for online answering.
@@ -162,12 +194,9 @@ func (m *Model) Distances(n *query.Node) []float64 {
 // (read side suffices). A nil ctx disables cancellation checks, and the
 // error is then always nil.
 func (m *Model) distancesLocked(ctx context.Context, n *query.Node) ([]float64, error) {
-	arcs := m.EmbedQuery(n)
-	pre := make([]preArc, len(arcs))
-	for i, a := range arcs {
-		pre[i] = m.prepareArc(a)
-	}
-	return m.fastDistances(ctx, pre)
+	t := forwardTapes.Get().(*autodiff.Tape)
+	defer putForwardTape(t)
+	return m.fastDistances(ctx, m.prepareQuery(t, n))
 }
 
 // distanceTo is the reference (slow) scoring path; the fast path in

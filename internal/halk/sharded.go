@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/halk-kg/halk/internal/autodiff"
 	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/obs"
 	"github.com/halk-kg/halk/internal/query"
@@ -105,7 +106,7 @@ func (r *ShardedRanker) refresh(dirty []int32) error {
 // shard.Result.
 func (r *ShardedRanker) RankTopK(ctx context.Context, n *query.Node, k int) (*shard.Result, error) {
 	begin := time.Now()
-	arcs := r.prepare(n)
+	arcs := r.prepareBatch([]*query.Node{n}, []int{k})[0].Arcs
 	obs.FromContext(ctx).Observe(obs.StagePrepareArcs, time.Since(begin))
 	return r.eng.TopK(ctx, arcs, k)
 }
@@ -122,30 +123,25 @@ func (r *ShardedRanker) RankBatch(ctx context.Context, roots []*query.Node, ks [
 		return nil, fmt.Errorf("halk: RankBatch got %d queries but %d k values", len(roots), len(ks))
 	}
 	begin := time.Now()
-	items := make([]shard.BatchItem, len(roots))
-	r.m.rankMu.RLock()
-	for i, n := range roots {
-		arcs := r.m.EmbedQuery(n)
-		pre := make([]shard.Arc, len(arcs))
-		for j, a := range arcs {
-			pre[j] = r.m.prepareArc(a)
-		}
-		items[i] = shard.BatchItem{Arcs: pre, K: ks[i]}
-	}
-	r.m.rankMu.RUnlock()
+	items := r.prepareBatch(roots, ks)
 	obs.FromContext(ctx).Observe(obs.StagePrepareArcs, time.Since(begin))
 	return r.eng.RankBatch(ctx, items)
 }
 
-func (r *ShardedRanker) prepare(n *query.Node) []shard.Arc {
+// prepareBatch embeds and prepares every query of a batch (RankTopK's
+// is a batch of one) under one ranking read-lock and on one forward
+// tape, reset between queries.
+func (r *ShardedRanker) prepareBatch(roots []*query.Node, ks []int) []shard.BatchItem {
+	t := forwardTapes.Get().(*autodiff.Tape)
+	defer putForwardTape(t)
 	r.m.rankMu.RLock()
 	defer r.m.rankMu.RUnlock()
-	arcs := r.m.EmbedQuery(n)
-	pre := make([]shard.Arc, len(arcs))
-	for i, a := range arcs {
-		pre[i] = r.m.prepareArc(a)
+	items := make([]shard.BatchItem, len(roots))
+	for i, n := range roots {
+		items[i] = shard.BatchItem{Arcs: r.m.prepareQuery(t, n), K: ks[i]}
+		t.Reset()
 	}
-	return pre
+	return items
 }
 
 // Close drains the engine's in-flight scan goroutines (scatter and

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"math"
+	"slices"
 )
 
 // The blocked scan path trades the scalar loop's per-entity float64 trig
@@ -182,19 +183,14 @@ const envMissLimit = 16
 //     starts at the shard's true k-th best instead of converging toward
 //     it block by block — rescoring a lane per block of warm-up that a
 //     per-block rescore order would pay.
-func (e *Engine) scanBlocked(ctx context.Context, sd *shardData, spec *batchSpec, heaps []*topK, gbounds []Bound, sc *scanCounters) error {
+func (e *Engine) scanBlocked(ctx context.Context, i int, sd *shardData, spec *batchSpec, heaps []*topK, gbounds []Bound, sc *scanCounters) error {
 	ents := sd.hi - sd.lo
 	if ents == 0 {
 		return nil
 	}
-	// envMiss counts consecutive envelope misses per query; past
-	// envMissLimit the check is disabled for the rest of the scan.
-	envMiss := make([]uint8, len(spec.items))
-	// lows[qi*ents+li] is query qi's float32 lower bound on lane li's
-	// distance (before the 2ρ scale); NaN marks lanes the rescore must
-	// never touch (envelope-skipped, or already exact-scored).
-	lows := make([]float32, len(spec.items)*ents)
-	idx := make([]int32, 0, ents)
+	scr := e.getScratch(i, len(spec.items), ents)
+	defer e.scratch[i].Put(scr)
+	envMiss, lows, idx := scr.envMiss, scr.lows, scr.idx
 	for b := 0; b < sd.blocks; b++ {
 		// One check per (block × batch) keeps cancellation latency within
 		// blockSize×len(items) entity scores — comparable to
@@ -224,6 +220,35 @@ func (e *Engine) scanBlocked(ctx context.Context, sd *shardData, spec *batchSpec
 		e.rescoreQuery(sd, spec.items[qi].Arcs, spec.items[qi].K, lows[qi*ents:(qi+1)*ents], idx, heaps[qi], &gbounds[qi], sc)
 	}
 	return nil
+}
+
+// scanScratch is one blocked scan's working memory, recycled through the
+// engine's per-shard pool so a scan allocates none of it once warm.
+type scanScratch struct {
+	// envMiss counts consecutive envelope misses per query; past
+	// envMissLimit the check is disabled for the rest of the scan.
+	envMiss []uint8
+	// lows[qi*ents+li] is query qi's float32 lower bound on lane li's
+	// distance (before the 2ρ scale); NaN marks lanes the rescore must
+	// never touch (envelope-skipped, or already exact-scored).
+	lows []float32
+	idx  []int32 // lane-selection buffer of bootScore and rescoreQuery
+}
+
+// getScratch takes shard i's scan scratch from its pool, grown where a
+// previous scan's buffers are too small. envMiss starts zeroed; lows
+// comes back dirty, which is sound because the sweep writes every lane
+// of every (query, block) before anything reads it (see sweepBlock).
+func (e *Engine) getScratch(i, items, ents int) *scanScratch {
+	s, _ := e.scratch[i].Get().(*scanScratch)
+	if s == nil {
+		s = &scanScratch{}
+	}
+	s.envMiss = slices.Grow(s.envMiss[:0], items)[:items]
+	clear(s.envMiss)
+	s.lows = slices.Grow(s.lows[:0], items*ents)[:items*ents]
+	s.idx = slices.Grow(s.idx[:0], ents)
+	return s
 }
 
 // bootScore exact-scores the k lanes with the smallest float32 bounds
@@ -327,11 +352,12 @@ func (e *Engine) sweepBlock(sd *shardData, spec *batchSpec, qi, b, lanes int, ds
 	kq := spec.kern[qi]
 	dim := e.p.Dim
 	var sums [blockSize]float32
+	clear(dst[:lanes]) // pooled scratch: still holds an earlier scan's bounds
 	for ai := range kq {
 		ka := &kq[ai]
-		// The first arc accumulates straight into dst (fresh from make,
-		// so already zero); later arcs accumulate into scratch and
-		// min-merge, because the entity distance is the min over arcs.
+		// The first arc accumulates straight into dst (just cleared);
+		// later arcs accumulate into scratch and min-merge, because the
+		// entity distance is the min over arcs.
 		acc := dst[:lanes]
 		if ai > 0 {
 			sums = [blockSize]float32{}

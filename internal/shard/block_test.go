@@ -178,6 +178,88 @@ func TestRankBatchIdentity(t *testing.T) {
 	}
 }
 
+// TestPooledScanScratchIdentity: the blocked kernel's per-scan buffers
+// come back from the engine's pool holding an earlier scan's bounds
+// (NaN marks included), so every scan through a used engine — two
+// different queries back to back, a batch of 16, and the single query
+// after that batch — must match the same scan on a fresh engine bit for
+// bit. The table is clustered so envelope skips leave NaNs behind.
+func TestPooledScanScratchIdentity(t *testing.T) {
+	const ents, dim = 700, 8
+	rng := rand.New(rand.NewSource(21))
+	p := Params{Dim: dim, Rho: 1, Eta: 0.02, Xi: 0.5}
+	src := Source{Angles: make([]float64, ents*dim), Group: make([]int32, ents), Version: 1}
+	for e := 0; e < ents; e++ {
+		center := float64(e/blockSize) * 0.55
+		for j := 0; j < dim; j++ {
+			src.Angles[e*dim+j] = center + rng.Float64()*0.05
+		}
+		src.Group[e] = int32(rng.Intn(4))
+	}
+	randomItem := func() BatchItem {
+		arcs := make([]Arc, 1+rng.Intn(3))
+		for a := range arcs {
+			c := make([]float64, dim)
+			l := make([]float64, dim)
+			base := rng.Float64() * 5
+			for j := range c {
+				c[j] = base + rng.Float64()*0.1
+				l[j] = rng.Float64() * 0.4
+			}
+			arcs[a] = PrepareArc(p, c, l, []float64{1, 0, 1, 1})
+		}
+		return BatchItem{Arcs: arcs, K: 1 + rng.Intn(30)}
+	}
+	items := make([]BatchItem, 19)
+	for i := range items {
+		items[i] = randomItem()
+	}
+	first, second, batch, after := items[0], items[1], items[2:18], items[18]
+
+	for _, shards := range []int{1, 2} {
+		fresh := func(run func(e *Engine) []*Result) []*Result {
+			e := newTestEngine(t, p, src, Options{Shards: shards})
+			defer e.Close()
+			return run(e)
+		}
+		lone := func(it BatchItem) func(e *Engine) []*Result {
+			return func(e *Engine) []*Result { return []*Result{mustRank(t, e, it.Arcs, it.K)} }
+		}
+		many := func(e *Engine) []*Result {
+			res, err := e.RankBatch(context.Background(), batch)
+			if err != nil {
+				t.Fatalf("RankBatch: %v", err)
+			}
+			return res
+		}
+		used := newTestEngine(t, p, src, Options{Shards: shards})
+		skips := uint64(0)
+		for round := 0; round < 3; round++ {
+			for _, step := range []struct {
+				label string
+				run   func(e *Engine) []*Result
+			}{
+				{"first query", lone(first)},
+				{"second query", lone(second)},
+				{"batch of 16", many},
+				{"query after the batch", lone(after)},
+			} {
+				got, want := step.run(used), fresh(step.run)
+				for i := range want {
+					assertIdentical(t, step.label, got[i], want[i])
+				}
+			}
+		}
+		for _, st := range used.Stats() {
+			skips += st.EnvSkips
+		}
+		if skips == 0 {
+			t.Errorf("shards=%d: no envelope skip ever left NaN bounds in the scratch", shards)
+		}
+		used.Close()
+	}
+}
+
 // TestRankBatchValidation covers the batch entry's error contract.
 func TestRankBatchValidation(t *testing.T) {
 	p, src, _, pre := testSetup(12, 50, 4, 1, 2)

@@ -81,11 +81,12 @@ type Engine struct {
 	n            int
 	shardTimeout time.Duration
 
-	snap   atomic.Pointer[snapshot]
-	swapMu sync.Mutex // serialises Swap; installs stay version-monotonic
-	reg    *obs.Registry
-	stats  []shardStat
-	heaps  []sync.Pool // per-shard scratch heaps, reused across scans
+	snap    atomic.Pointer[snapshot]
+	swapMu  sync.Mutex // serialises Swap; installs stay version-monotonic
+	reg     *obs.Registry
+	stats   []shardStat
+	heaps   []sync.Pool // per-shard scratch heaps, reused across scans
+	scratch []sync.Pool // per-shard *scanScratch of the blocked kernel
 
 	// scalar pins exact scans to the scalar reference kernel
 	// (Options.ScalarKernel); slack / twoRho32 are the blocked kernel's
@@ -150,6 +151,7 @@ func NewEngine(p Params, opts Options) *Engine {
 		reg:          reg,
 		stats:        newShardStats(reg, n),
 		heaps:        make([]sync.Pool, n),
+		scratch:      make([]sync.Pool, n),
 		scalar:       opts.ScalarKernel,
 		slack:        float64(p.Dim) * 2 * p.Rho * (1 + p.Eta) * 1.2e-3,
 		twoRho32:     float32(2 * p.Rho),
@@ -601,7 +603,7 @@ func (e *Engine) scanShard(sctx, qctx context.Context, snap *snapshot, i int, sp
 	var sc scanCounters
 	var err error
 	if spec.kern != nil && sd.cos32 != nil {
-		err = e.scanBlocked(sctx, sd, spec, heaps, gbounds, &sc)
+		err = e.scanBlocked(sctx, i, sd, spec, heaps, gbounds, &sc)
 	} else {
 		for qi := range spec.items {
 			if err = e.scanRange(sctx, sd, spec.items[qi].Arcs, heaps[qi], &gbounds[qi]); err != nil {
