@@ -100,7 +100,7 @@ func main() {
 		pprofAt  = flag.String("pprof-addr", "", "separate debug listen address exposing /debug/pprof/ and /metrics (empty disables)")
 		slowQ    = flag.Duration("slow-query", 0, "log queries slower than this with their per-stage trace (0 disables)")
 
-		hedge        = flag.Duration("hedge-delay", 0, "hedged-scan delay floor: re-issue a shard scan not back after max(this, the shard's p99 scan latency) and take the first result (0 disables; requires -shards or -cluster)")
+		hedge        = flag.Duration("hedge-delay", 0, "hedged-scan delay floor: a shard (or, in router mode, replica) scan not back after max(this, its p99 scan latency) is raced by a hedge and the first answer wins (0 disables; requires -shards or -cluster)")
 		breaker      = flag.Bool("breaker", false, "guard each shard (or, in router mode, each replica) with a circuit breaker: one that keeps failing is skipped up front until a half-open probe succeeds (requires -shards or -cluster)")
 		clusterList  = flag.String("cluster", "", "router mode: comma-separated entity ranges, each a '|'-separated replica set of halk-shard addresses (e.g. \"a:9001|b:9001,a:9002|b:9002\"); exact queries scatter-gather across the ranges and fail over within each replica set")
 		clusterFile  = flag.String("cluster-file", "", "router mode: topology file with one entity range per line, the line's whitespace- or '|'-separated addresses being that range's replicas (# comments); SIGHUP re-reads it and applies membership changes to the running router")

@@ -138,6 +138,51 @@ func TestRouterHedgeRecoversSlowScan(t *testing.T) {
 	}
 }
 
+// TestRouterHedgeAnswersWedgedProbe: a 1-replica range hedges its only
+// node, and that hedge rides on the primary's breaker admission. With
+// the breaker half-open, the gather's primary is its probe; when the
+// probe wedges, the same-node hedge must still go out (a second Allow
+// would be refused while the probe is in flight), answer, and close the
+// breaker — the gather neither waits out the probe nor turns partial.
+func TestRouterHedgeAnswersWedgedProbe(t *testing.T) {
+	m, ds := testModel(61)
+	nodes := startTopology(t, m, ds, 2, nil)
+	rt := newTestRouter(t, m, nodes, func(c *Config) {
+		c.ScanTimeout = 5 * time.Second
+		c.HedgeDelay = 30 * time.Millisecond
+		c.Breaker = &resil.BreakerConfig{ConsecutiveMisses: 1, OpenBase: time.Millisecond, OpenMax: time.Millisecond}
+	})
+	rep := rep0(rt, 1)
+	rep.breaker.Allow()
+	rep.breaker.Failure() // open; once the cool-down passes, the next Allow is the probe
+	time.Sleep(10 * time.Millisecond)
+	nodes[1].inj.Set(FaultStageScan, resil.AnyShard, resil.Fault{Kind: resil.KindDelay, Delay: 2 * time.Second, Count: 1})
+
+	s := query.NewSampler(ds.Test, rand.New(rand.NewSource(62)))
+	q, ok := s.Sample("1p")
+	if !ok {
+		t.Fatal("sampling 1p failed")
+	}
+	start := time.Now()
+	res, err := rt.RankTopK(context.Background(), q, 10)
+	if err != nil {
+		t.Fatalf("RankTopK: %v", err)
+	}
+	if res.Partial {
+		t.Fatal("gather partial behind a wedged probe")
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("gather took %v; the same-node hedge should have answered well before the wedged probe", elapsed)
+	}
+	if rep.st.hedgeWins.Value() == 0 || rep.st.breakerSkips.Value() != 0 {
+		t.Fatalf("hedge wins = %d, breaker skips = %d; want the hedge admitted and winning",
+			rep.st.hedgeWins.Value(), rep.st.breakerSkips.Value())
+	}
+	if st := rep.breaker.State(); st != resil.Closed {
+		t.Fatalf("breaker %v after the probe's hedge answered, want closed", st)
+	}
+}
+
 // TestServePartialNeverCached wires the router into the serve stack and
 // asserts the invariant extends across the network seam: answers
 // assembled while a node is down are served partial and never enter the

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"io"
 	"log"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -236,6 +238,39 @@ func TestNodeScanBound(t *testing.T) {
 			t.Fatalf("bounded scan answer %d = (%d, %x), want (%d, %x)",
 				i, bounded.IDs[i], math.Float64bits(bounded.Dists[i]), full.IDs[i], math.Float64bits(full.Dists[i]))
 		}
+	}
+}
+
+// TestNodeScanRejectsShortHot: an arc whose group hot vector cannot
+// index every group id of the hosted table — omitted (it is omitempty
+// on the wire) or short — is the client's error. The node answers 400
+// without scanning, so no shard panics and the router would not blame
+// the replica, and the next valid scan answers in full.
+func TestNodeScanRejectsShortHot(t *testing.T) {
+	m, ds := testModel(61)
+	tn := startNode(t, m, ds, 0, ds.Train.NumEntities(), nil)
+	remote := NewRemoteShard(tn.addr(), nil)
+	s := query.NewSampler(ds.Test, rand.New(rand.NewSource(62)))
+	q, ok := s.Sample("2i")
+	if !ok {
+		t.Fatal("sampling 2i failed")
+	}
+	specs := embedFn(m)(q)
+	for _, cut := range []int{len(specs[0].Hot), 2} {
+		bad := append([]ArcSpec(nil), specs...)
+		bad[0].Hot = bad[0].Hot[:len(bad[0].Hot)-cut]
+		_, err := remote.Scan(context.Background(), &ScanRequest{Arcs: bad, K: 10})
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Fatalf("scan with %d of %d hot entries: err = %v, want HTTP 400", len(bad[0].Hot), len(specs[0].Hot), err)
+		}
+	}
+	if p := tn.ranker.Engine().Stats()[0].Panics; p != 0 {
+		t.Fatalf("halk_shard_panics_total = %d after rejected scans, want 0", p)
+	}
+	res, err := remote.Scan(context.Background(), &ScanRequest{Arcs: specs, K: 10})
+	if err != nil || res.Partial || len(res.IDs) != 10 {
+		t.Fatalf("valid scan after rejected ones = %+v, %v; want 10 whole answers", res, err)
 	}
 }
 

@@ -117,9 +117,9 @@ func (rs *rangeSet) contains(rep *replica) bool {
 }
 
 // boundsExcept returns the range's hosted [lo, hi) as known from any
-// healthy replica other than skip — the ground truth a joining
-// replica's reported bounds are checked against (its own report must
-// not vouch for itself).
+// healthy replica other than skip (nil: any) — with a skip, the ground
+// truth a joining replica's reported bounds are checked against (its own
+// report must not vouch for itself).
 func (rs *rangeSet) boundsExcept(skip *replica) (lo, hi int) {
 	for _, rep := range rs.list() {
 		if rep == skip {
@@ -185,12 +185,10 @@ func (rt *Router) Join(ri int, addr string) error {
 	if addr == "" {
 		return fmt.Errorf("%w: empty address", ErrBadReplica)
 	}
-	rt.closeMu.RLock()
-	closed := rt.closed
-	rt.closeMu.RUnlock()
-	if closed {
+	if !rt.drain.Enter() {
 		return shard.ErrClosed
 	}
+	defer rt.drain.Exit()
 	rt.topoMu.Lock()
 	defer rt.topoMu.Unlock()
 	if ri < 0 || ri >= len(rt.ranges) {
@@ -273,12 +271,10 @@ func (rt *Router) SetTopology(ranges [][]string) error {
 			seen[addr] = i
 		}
 	}
-	rt.closeMu.RLock()
-	closed := rt.closed
-	rt.closeMu.RUnlock()
-	if closed {
+	if !rt.drain.Enter() {
 		return shard.ErrClosed
 	}
+	defer rt.drain.Exit()
 	rt.topoMu.Lock()
 	defer rt.topoMu.Unlock()
 	changed := false
@@ -337,14 +333,10 @@ func (rt *Router) ensureProber(rs *rangeSet, rep *replica) {
 	if !rep.probing.CompareAndSwap(false, true) {
 		return
 	}
-	rt.closeMu.RLock()
-	if rt.closed {
-		rt.closeMu.RUnlock()
+	if !rt.drain.Enter() {
 		rep.probing.Store(false)
 		return
 	}
-	rt.scanWG.Add(1)
-	rt.closeMu.RUnlock()
 	go rt.probeLoop(rs, rep)
 }
 
@@ -363,7 +355,7 @@ func probeSeed(base int64, addr string) int64 {
 // draining, or the router closes. It never touches the query path: the
 // probe is a plain remote scan whose result is compared and discarded.
 func (rt *Router) probeLoop(rs *rangeSet, rep *replica) {
-	defer rt.scanWG.Done()
+	defer rt.drain.Exit()
 	defer rep.probing.Store(false)
 	base, max := rt.cfg.ProbeBase, rt.cfg.ProbeMax
 	if base <= 0 {
@@ -373,30 +365,21 @@ func (rt *Router) probeLoop(rs *rangeSet, rep *replica) {
 		max = 5 * time.Second
 	}
 	bo := resil.NewBackoff(base, max, probeSeed(rt.cfg.Seed, rep.addr))
-	for attempt := 0; ; attempt++ {
-		if rt.probeCtx.Err() != nil {
-			return
-		}
-		if !rs.contains(rep) {
-			return // left the topology; nothing to re-admit
-		}
-		if s := rep.getState(); s == StateDraining {
-			return // draining replicas are on their way out, not in
+	err := resil.Retry(rt.probeCtx, math.MaxInt, bo, func() error {
+		// A replica that left the topology has nothing to re-admit; a
+		// draining one is on its way out, not in.
+		if rt.probeCtx.Err() != nil || !rs.contains(rep) || rep.getState() == StateDraining {
+			return resil.Permanent(fmt.Errorf("probe of %s stopped", rep.addr))
 		}
 		err := rt.probeOnce(rs, rep)
-		if err == nil {
-			rt.admit(rs, rep)
-			return
+		if err != nil {
+			rep.st.probeFails.Inc()
+			rt.logf("cluster: probe of %s (range %d, %s) failed: %v", rep.addr, rs.index, rep.getState(), err)
 		}
-		rep.st.probeFails.Inc()
-		rt.logf("cluster: probe of %s (range %d, %s) failed: %v", rep.addr, rs.index, rep.getState(), err)
-		t := time.NewTimer(bo.Delay(attempt))
-		select {
-		case <-rt.probeCtx.Done():
-			t.Stop()
-			return
-		case <-t.C:
-		}
+		return err
+	})
+	if err == nil {
+		rt.admit(rs, rep)
 	}
 }
 

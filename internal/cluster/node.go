@@ -191,11 +191,14 @@ func fail(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // rankErrStatus maps an engine error to the HTTP status the router's
-// typed failure classification expects: 504 for deadline-shaped
-// failures, 503 for lifecycle states a retry can outwait, 500 for the
-// rest.
+// typed failure classification expects: 400 for arcs the engine refuses
+// (the client's input, not the node, is at fault), 504 for
+// deadline-shaped failures, 503 for lifecycle states a retry can
+// outwait, 500 for the rest.
 func rankErrStatus(err error) int {
 	switch {
+	case errors.Is(err, shard.ErrBadArc):
+		return http.StatusBadRequest
 	case errors.Is(err, shard.ErrAllShardsSkipped), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, shard.ErrNoSnapshot), errors.Is(err, shard.ErrClosed):

@@ -39,13 +39,12 @@ type Config struct {
 	// shard.Options.ShardTimeout. 0 means attempts are bounded only by
 	// the query context.
 	ScanTimeout time.Duration
-	// HedgeDelay enables hedged scans: when a range's primary has not
-	// answered after max(HedgeDelay, its observed p99 scan latency) —
-	// capped at ScanTimeout — a second identical request is issued to
-	// the range's *next replica* (a different process, so a wedged node
-	// cannot wedge its own hedge) and the first success wins. Replica
-	// snapshots are version-pinned, so either answer is byte-identical.
-	// 0 disables hedging.
+	// HedgeDelay enables hedged scans: a range's primary that has not
+	// answered after max(HedgeDelay, its p99), capped at ScanTimeout, is
+	// raced by the next replica (a wedged node cannot wedge its own
+	// hedge; a 1-replica range hedges its only node) and the first
+	// success wins, byte-identical as snapshots are version-pinned. 0
+	// disables hedging.
 	HedgeDelay time.Duration
 	// Breaker, when non-nil, guards each replica with a circuit breaker
 	// built from this config: replicas that keep failing are skipped up
@@ -110,18 +109,6 @@ type rangeSet struct {
 	flips     *obs.Counter
 }
 
-// lohi returns the range's hosted slice as of the last health check
-// that reached any replica.
-func (rs *rangeSet) lohi() (lo, hi int) {
-	for _, rep := range rs.list() {
-		l, h, _, healthy := rep.st.health()
-		if healthy || h > l {
-			return l, h
-		}
-	}
-	return 0, 0
-}
-
 // Router scatter-gathers ranking queries across the entity ranges of a
 // replicated topology and merges their local top-K lists into the
 // global answer. It implements serve.Ranker, so halk-serve's caching,
@@ -155,7 +142,7 @@ type Router struct {
 	topoVersion atomic.Uint64
 
 	// probeCtx bounds every background prober; Close cancels it before
-	// awaiting scanWG so probers mid-backoff exit immediately.
+	// draining so probers mid-backoff exit immediately.
 	probeCtx    context.Context
 	probeCancel context.CancelFunc
 
@@ -171,13 +158,9 @@ type Router struct {
 	// cache back and forth.
 	version atomic.Uint64
 
-	// scanWG tracks every remote-scan goroutine — range gathers,
-	// attempts, hedges — so Close can await stragglers; closeMu
-	// serialises new gathers against Close (see shard.Engine for the
-	// pattern).
-	scanWG  sync.WaitGroup
-	closeMu sync.RWMutex
-	closed  bool
+	// drain tracks every gather, attempt and membership prober, so Close
+	// can refuse new work and await stragglers.
+	drain resil.Drain
 }
 
 // NewRouter validates cfg and builds the router. It performs no I/O:
@@ -435,7 +418,7 @@ func (rt *Router) ShardStats() []shard.ShardStats {
 	out := make([]shard.ShardStats, len(rt.ranges))
 	for i, rs := range rt.ranges {
 		reps := rs.list()
-		lo, hi := rs.lohi()
+		lo, hi := rs.boundsExcept(nil)
 		s := shard.ShardStats{Shard: i, Lo: lo, Hi: hi}
 		var meanSum float64
 		for _, rep := range reps {
@@ -475,7 +458,7 @@ func (rt *Router) ReplicaStats() []serve.RangeReplicaStats {
 	out := make([]serve.RangeReplicaStats, len(rt.ranges))
 	for i, rs := range rt.ranges {
 		reps := rs.list()
-		lo, hi := rs.lohi()
+		lo, hi := rs.boundsExcept(nil)
 		rr := serve.RangeReplicaStats{
 			Range:        i,
 			Lo:           lo,
@@ -525,23 +508,19 @@ func (rt *Router) ReplicaStats() []serve.RangeReplicaStats {
 // connections. Rankings issued after Close begins are refused with
 // shard.ErrClosed. Idempotent.
 func (rt *Router) Close() {
-	rt.closeMu.Lock()
-	rt.closed = true
-	rt.closeMu.Unlock()
 	rt.probeCancel()
-	rt.scanWG.Wait()
+	rt.drain.Close()
 	rt.hc.CloseIdleConnections()
 }
 
 // remoteLocal is one range's contribution to a gather — the cluster
-// analogue of the engine's per-shard localTopK.
+// analogue of the engine's per-shard localBatch.
 type remoteLocal struct {
 	ids     []kg.EntityID
 	d       []float64
 	version uint64
 	partial bool // replica answered but degraded (local sub-shard skipped)
 	skipped bool // the whole replica set was exhausted
-	failed  bool // at least one replica-local fault contributed
 }
 
 // RankTopK embeds the query, scatters the wire arcs to every range's
@@ -571,27 +550,30 @@ func (rt *Router) RankTopK(ctx context.Context, n *query.Node, k int) (*shard.Re
 	tr := obs.FromContext(ctx)
 	locals := make([]remoteLocal, len(rt.ranges))
 	scatterStart := time.Now()
-	var wg sync.WaitGroup
-	rt.closeMu.RLock()
-	if rt.closed {
-		rt.closeMu.RUnlock()
+	// Each range is a race over its planned replicas (resil.Race): the
+	// primary first, hedge and failover down the order, the first whole
+	// answer wins. An empty plan (every replica in probation) loses at
+	// once. An exhausted plan whose range membership moved since — a
+	// gather descheduled across a replica roll finds everyone it planned
+	// on gone while the replacements serve — is planned again.
+	if !rt.drain.Scatter(len(rt.ranges), func(i int) {
+		r := &rangeRace{rt: rt, rs: rt.ranges[i], qctx: ctx, specs: specs, k: k, gb: &gb}
+		for {
+			members := r.rs.reps.Load()
+			l, ok := resil.Race[*replica, remoteLocal](&rt.drain, ctx, ctx, rt.plan(r.rs), r)
+			if ok || r.rs.reps.Load() == members || ctx.Err() != nil {
+				l.skipped = !ok
+				locals[i] = l
+				return
+			}
+		}
+	}) {
 		return nil, shard.ErrClosed
 	}
-	for i := range rt.ranges {
-		wg.Add(1)
-		rt.scanWG.Add(1)
-		go func(i int) {
-			defer rt.scanWG.Done()
-			defer wg.Done()
-			rt.runRange(ctx, rt.ranges[i], specs, k, &gb, &locals[i])
-		}(i)
-	}
-	rt.closeMu.RUnlock()
-	wg.Wait()
 	tr.Observe(obs.StageShardScatter, time.Since(scatterStart))
 	if err := ctx.Err(); err != nil {
-		// The whole query died; per-attempt breaker accounting already
-		// classifies outcomes under a dead parent as no-blame.
+		// The whole query died; the races settled every breaker they
+		// asked without blame.
 		return nil, err
 	}
 	mergeStart := time.Now()
@@ -704,203 +686,59 @@ func (rt *Router) plan(rs *rangeSet) []*replica {
 	return append(order, rest...)
 }
 
-// attemptResult is one replica attempt's outcome inside a range gather.
-type attemptResult struct {
-	local remoteLocal
-	rep   *replica
-	hedge bool
+// rangeRace is one range's resil.Target within a gather: the candidates
+// are its planned replicas.
+type rangeRace struct {
+	rt    *Router
+	rs    *rangeSet
+	qctx  context.Context
+	specs []ArcSpec
+	k     int
+	gb    *shard.Bound
 }
 
-// runRange gathers one range's local top-K from its replica set: the
-// planned primary scans first; a failure fails over to the next
-// replica in plan order (within the query's remaining budget), an
-// unanswered primary is hedged to the next replica after the hedge
-// delay — a single-replica range hedges back to its only node, the
-// pre-replica behavior — and the first successful attempt wins. The
-// range is skipped — degrading the merged answer to partial — only
-// when every replica is exhausted. Each attempt runs under its own
-// ScanTimeout-derived deadline; losing attempts are abandoned
-// (cancelled), not awaited.
-func (rt *Router) runRange(ctx context.Context, rs *rangeSet, specs []ArcSpec, k int, gb *shard.Bound, out *remoteLocal) {
-	members := rs.reps.Load()
-	order := rt.plan(rs)
-	if len(order) == 0 {
-		// Every replica is in probation (e.g. a cluster-file swap
-		// replaced the whole set at once): nothing may serve yet.
-		out.skipped = true
-		return
-	}
-	// +1: a single-replica range's hedge re-targets its only node, so
-	// attempts can exceed len(order); every attempt must be able to
-	// deliver without blocking after runRange returns.
-	results := make(chan attemptResult, len(order)+1)
-	next := 0
-	inflight := 0
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
+func (r *rangeRace) Breaker(rep *replica) *resil.Breaker { return rep.breaker }
 
-	// spawn starts one attempt against rep if its breaker admits it.
-	spawn := func(rep *replica, hedge bool) bool {
-		if rep.breaker != nil && !rep.breaker.Allow() {
-			rep.st.breakerSkips.Inc()
-			return false
-		}
-		actx := ctx
+func (r *rangeRace) HedgeDelay(rep *replica) time.Duration {
+	p99 := time.Duration(rep.st.scanMs.Quantile(0.99) * float64(time.Millisecond))
+	return resil.HedgeDelay(r.rt.cfg.HedgeDelay, r.rt.cfg.ScanTimeout, p99)
+}
+
+// Note counts the race's steps and runs the membership hooks: a win that
+// closed a tripped breaker reseeds the stale EWMA to the siblings' mean;
+// blame arms the read-repair prober to re-admit off the query path.
+func (r *rangeRace) Note(rep *replica, ev resil.Event) {
+	switch ev {
+	case resil.Refused:
+		rep.st.breakerSkips.Inc()
+	case resil.Hedged:
+		rep.st.hedges.Inc()
+	case resil.HedgeWon:
+		rep.st.hedgeWins.Inc()
+	case resil.FailedOver:
+		r.rs.failovers.Inc()
+	case resil.Blamed:
+		r.rt.ensureProber(r.rs, rep)
+	case resil.Reclosed:
+		rep.st.seedEwma(r.rs.peerEwmaMean(rep))
+	}
+}
+
+// Attempt issues one scan to rep under the router's deadline policy — a
+// fresh ScanTimeout per attempt, carved from the query's budget: a
+// sibling replica is an independent machine, so a failover is worth a
+// full budget, unlike the engine's hedge re-reading the same memory —
+// and tells a replica-local fault (failover, breaker) from a dead query
+// or a lost hedge race (no blame).
+func (r *rangeRace) Attempt(actx context.Context, rep *replica) (remoteLocal, resil.Outcome) {
+	if to := r.rt.cfg.ScanTimeout; to > 0 {
 		var cancel context.CancelFunc
-		if rt.cfg.ScanTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, rt.cfg.ScanTimeout)
-		} else {
-			actx, cancel = context.WithCancel(ctx)
-		}
-		cancels = append(cancels, cancel)
-		inflight++
-		rt.scanWG.Add(1)
-		go func() {
-			defer rt.scanWG.Done()
-			var l remoteLocal
-			rt.scanReplica(actx, ctx, rep, specs, k, gb, &l)
-			rt.settleAttempt(rs, rep, &l, ctx)
-			results <- attemptResult{local: l, rep: rep, hedge: hedge}
-		}()
-		return true
+		actx, cancel = context.WithTimeout(actx, to)
+		defer cancel()
 	}
-
-	// launch starts the next breaker-admitted replica in plan order,
-	// returning it (nil when the order is exhausted). Attempts refused
-	// by an open breaker are skipped and counted, which is itself a
-	// failover step: the request goes straight to the next sibling.
-	launch := func(hedge bool) *replica {
-		for next < len(order) {
-			rep := order[next]
-			next++
-			if spawn(rep, hedge) {
-				return rep
-			}
-		}
-		return nil
-	}
-
-	first := launch(false)
-	if first == nil && inflight == 0 {
-		// Every replica sat behind an open breaker: immediate skip.
-		out.skipped = true
-		return
-	}
-	var hedgeC <-chan time.Time
-	if rt.cfg.HedgeDelay > 0 && first != nil {
-		timer := time.NewTimer(rt.hedgeDelayFor(first))
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-	failed := false
-	for inflight > 0 {
-		select {
-		case r := <-results:
-			inflight--
-			if !r.local.skipped {
-				*out = r.local
-				if r.hedge {
-					r.rep.st.hedgeWins.Inc()
-				}
-				return
-			}
-			failed = failed || r.local.failed
-			if ctx.Err() != nil {
-				out.skipped, out.failed = true, failed
-				return
-			}
-			// Failover: the attempt is lost, the budget lives — walk to
-			// the next replica of the set.
-			if rep := launch(false); rep != nil {
-				rs.failovers.Inc()
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			rep := launch(true)
-			if rep == nil && len(order) == 1 && spawn(order[0], true) {
-				// Single-replica range: no sibling to hedge to, so the
-				// hedge re-issues to the same node (PR 6 behavior).
-				rep = order[0]
-			}
-			if rep != nil {
-				rep.st.hedges.Inc()
-			}
-		case <-ctx.Done():
-			out.skipped, out.failed = true, failed
-			return
-		}
-	}
-	if rs.reps.Load() != members && ctx.Err() == nil {
-		// The plan is exhausted but the range's membership moved under
-		// it: a gather descheduled across a replica roll finds everyone
-		// it planned on gone while the replacements serve. Plan again.
-		rt.runRange(ctx, rs, specs, k, gb, out)
-		return
-	}
-	out.skipped, out.failed = true, failed
-}
-
-// settleAttempt feeds one attempt's outcome to the replica's breaker
-// and the membership machinery: success closes/credits the breaker —
-// and reseeds the latency EWMA when that success was the half-open
-// probe that closed it, so the stale pre-trip EWMA neither dogpiles
-// nor shuns the recovered replica — a replica-local fault counts
-// against the breaker AND arms the read-repair prober (re-admission
-// off the query path, instead of waiting out the cool-down or the next
-// health sweep), and an attempt abandoned without an outcome (the
-// query died, or a hedge race was lost) releases any half-open probe
-// it was admitted as.
-func (rt *Router) settleAttempt(rs *rangeSet, rep *replica, l *remoteLocal, qctx context.Context) {
-	switch {
-	case !l.skipped:
-		if rep.breaker != nil {
-			wasTripped := rep.breaker.State() != resil.Closed
-			rep.breaker.Success()
-			if wasTripped && rep.breaker.State() == resil.Closed {
-				rep.st.seedEwma(rs.peerEwmaMean(rep))
-			}
-		}
-	case l.failed && qctx.Err() == nil:
-		if rep.breaker != nil {
-			rep.breaker.Failure()
-		}
-		rt.ensureProber(rs, rep)
-	default:
-		if rep.breaker != nil {
-			rep.breaker.Cancel()
-		}
-	}
-}
-
-// hedgeDelayFor derives a replica's hedge delay: the configured floor
-// raised to its observed p99 scan latency, capped at the scan timeout.
-func (rt *Router) hedgeDelayFor(rep *replica) time.Duration {
-	d := rt.cfg.HedgeDelay
-	if p99 := rep.st.scanMs.Quantile(0.99); p99 > 0 {
-		if observed := time.Duration(p99 * float64(time.Millisecond)); observed > d {
-			d = observed
-		}
-	}
-	if rt.cfg.ScanTimeout > 0 && d > rt.cfg.ScanTimeout {
-		d = rt.cfg.ScanTimeout
-	}
-	return d
-}
-
-// scanReplica issues one scan attempt under actx (the attempt-scoped
-// context carrying the per-attempt deadline) and classifies the
-// outcome; qctx is the whole query's context, consulted to tell "this
-// replica is slow" (replica-local fault, feeds failover and the
-// breaker) from "the query died" and "a hedge race was lost" (no
-// outcome, no blame).
-func (rt *Router) scanReplica(actx, qctx context.Context, rep *replica, specs []ArcSpec, k int, gb *shard.Bound, out *remoteLocal) {
-	req := &ScanRequest{Arcs: specs, K: k}
+	req := &ScanRequest{Arcs: r.specs, K: r.k}
 	// On the wire 0 means no bound yet (no range has answered).
-	if b := gb.Load(); !math.IsInf(b, 1) {
+	if b := r.gb.Load(); !math.IsInf(b, 1) {
 		req.Bound = b
 	}
 	if dl, ok := actx.Deadline(); ok {
@@ -912,34 +750,31 @@ func (rt *Router) scanReplica(actx, qctx context.Context, rep *replica, specs []
 	resp, err := rep.remote.Scan(actx, req)
 	elapsed := float64(time.Since(start)) / float64(time.Millisecond)
 	if err != nil {
-		out.skipped = true
 		switch {
-		case qctx.Err() != nil:
+		case r.qctx.Err() != nil:
 			// The whole query died; no replica is at fault.
 		case errors.Is(err, context.DeadlineExceeded):
-			out.failed = true
 			rep.st.timeouts.Inc()
+			return remoteLocal{}, resil.Failed
 		case errors.Is(err, context.Canceled):
 			// Lost a hedge/failover race; the result is discarded, not
 			// blamed.
 		default:
-			out.failed = true
 			rep.st.errors.Inc()
+			return remoteLocal{}, resil.Failed
 		}
-		return
+		return remoteLocal{}, resil.Lost
 	}
-	out.ids, out.d = resp.IDs, resp.Dists
-	out.version = resp.Version
-	out.partial = resp.Partial
 	rep.st.setVersion(resp.Version)
 	rep.st.setDepth(resp.Queue)
-	if len(resp.Dists) == k && !resp.Partial {
+	if k := r.k; len(resp.Dists) == k && !resp.Partial {
 		// A full non-degraded local list: its k-th best upper-bounds the
 		// global k-th best, so later scans (hedges, failovers) can prune
 		// against it.
-		gb.Update(resp.Dists[k-1])
+		r.gb.Update(resp.Dists[k-1])
 	}
 	rep.st.record(elapsed)
+	return remoteLocal{ids: resp.IDs, d: resp.Dists, version: resp.Version, partial: resp.Partial}, resil.Won
 }
 
 // merge folds the ranges' sorted local lists into the global top k with

@@ -158,9 +158,9 @@ func putForwardTape(t *autodiff.Tape) {
 
 // prepareQuery embeds a query on the caller's forward tape and prepares
 // its arcs for scanning, reading the tape's values directly:
-// shard.PrepareArc copies the centers and derives the rest, so nothing
-// of the tape survives in the result and the caller may Reset it at
-// once. Callers must hold rankMu (read side suffices).
+// shard.PrepareArc derives fresh tables from them, so nothing of the
+// tape survives in the result and the caller may Reset it at once.
+// Callers must hold rankMu (read side suffices).
 func (m *Model) prepareQuery(t *autodiff.Tape, n *query.Node) []shard.Arc {
 	p := m.shardParams()
 	disjuncts := query.DNF(n)

@@ -100,10 +100,10 @@ func (c *BreakerConfig) withDefaults() BreakerConfig {
 // until its jittered exponential backoff expires, then admits a single
 // half-open probe. All methods are safe for concurrent use.
 //
-// In the shard engine one Breaker guards each shard: a shard that keeps
-// missing its scan deadline (or panicking) is skipped up front —
-// degrading responses to partial immediately instead of re-paying the
-// deadline on every request — and re-admitted once a probe succeeds.
+// Race asks and settles them — one per shard in the shard engine, one
+// per replica in the cluster router: a target that keeps failing is
+// refused up front (a partial answer, or a failover to a sibling)
+// instead of re-paying its deadline per request, until a probe succeeds.
 type Breaker struct {
 	mu      sync.Mutex
 	cfg     BreakerConfig
@@ -158,8 +158,9 @@ func (b *Breaker) Allow() bool {
 }
 
 // Success reports a successful call. A successful half-open probe
-// closes the breaker and resets the window and the backoff streak.
-func (b *Breaker) Success() {
+// closes the breaker and resets the window and the backoff streak;
+// Success reports whether this call was that probe.
+func (b *Breaker) Success() (reclosed bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -168,6 +169,7 @@ func (b *Breaker) Success() {
 		b.streak = 0
 		b.probing = false
 		b.resetWindow()
+		return true
 	case Closed:
 		b.consec = 0
 		b.push(false)
@@ -175,6 +177,7 @@ func (b *Breaker) Success() {
 		// A call admitted before the trip finished late; it carries no
 		// information about the post-trip world.
 	}
+	return false
 }
 
 // Failure reports a failed call (deadline miss, panic, injected error).

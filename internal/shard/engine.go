@@ -28,6 +28,11 @@ var ErrAllShardsSkipped = errors.New("shard: all shards missed their deadline")
 // ErrClosed is returned by rankings issued after Close.
 var ErrClosed = errors.New("shard: engine closed")
 
+// ErrBadArc is returned when an arc's group hot vector is too short to
+// index every group id of the published table — input error, not a
+// shard fault.
+var ErrBadArc = errors.New("shard: arc hot vector does not cover the table's groups")
+
 // Options configures an Engine.
 type Options struct {
 	// Shards is the number of partitions; values < 1 mean 1.
@@ -56,11 +61,9 @@ type Options struct {
 	// probe succeeds. Breaker state is exported per shard via Stats and
 	// the halk_shard_breaker_state gauge.
 	Breaker *resil.BreakerConfig
-	// HedgeDelay enables hedged scans: when a shard's scan has not
-	// returned after max(HedgeDelay, its observed p99 scan latency) —
-	// capped at ShardTimeout — a second identical scan is issued and the
-	// first result wins. Snapshots are immutable, so the hedge returns
-	// byte-identical data. 0 disables hedging.
+	// HedgeDelay enables hedged scans: a shard that has not answered
+	// after max(HedgeDelay, its p99), capped at ShardTimeout, is scanned
+	// again; the first result wins, byte-identical. 0 disables hedging.
 	HedgeDelay time.Duration
 	// PanicLog receives the stack trace of recovered scan panics; nil
 	// means the process-default logger.
@@ -77,9 +80,9 @@ type Options struct {
 // Engine is the sharded ranking engine. All methods are safe for
 // concurrent use; ranking never blocks Swap and vice versa.
 type Engine struct {
-	p            Params
-	n            int
-	shardTimeout time.Duration
+	p    Params
+	n    int
+	opts Options
 
 	snap    atomic.Pointer[snapshot]
 	swapMu  sync.Mutex // serialises Swap; installs stay version-monotonic
@@ -88,9 +91,8 @@ type Engine struct {
 	heaps   []sync.Pool // per-shard scratch heaps, reused across scans
 	scratch []sync.Pool // per-shard *scanScratch of the blocked kernel
 
-	// scalar pins exact scans to the scalar reference kernel
-	// (Options.ScalarKernel); slack / twoRho32 are the blocked kernel's
-	// precomputed filter constants. slack upper-bounds how far the
+	// slack / twoRho32 are the blocked kernel's precomputed filter
+	// constants. slack upper-bounds how far the
 	// float32 filter accumulation can overshoot the true float64
 	// distance — the worst per-dimension term is the square-root cliff,
 	// sqrt(x+δ)-sqrt(x) ≤ sqrt(δ) ≈ 9.2e-4 for the ≤ ~8.5e-7 the float32
@@ -99,38 +101,20 @@ type Engine struct {
 	// per dimension (scaled by 2ρ(1+η)) keeps the filter a strict
 	// superset selection: lanes it drops provably cannot enter the
 	// top-K.
-	scalar   bool
 	slack    float64
 	twoRho32 float32
 
-	// breakers is one circuit breaker per shard slot (nil when
-	// Options.Breaker was nil: every scan is always admitted).
+	// breakers holds one circuit breaker per shard slot (nil entries
+	// when Options.Breaker was nil: every scan is always admitted).
 	breakers []*resil.Breaker
-	// hedgeDelay is the hedged-scan floor (Options.HedgeDelay); 0
-	// disables hedging.
-	hedgeDelay time.Duration
-	panicLog   *log.Logger
-
-	// scanWG tracks every scan goroutine — scatter and hedge alike — so
-	// Close can await stragglers instead of leaking them. closeMu
-	// serialises new gathers against Close: a gather adds its scatter
-	// goroutines under the read lock, Close flips closed under the write
-	// lock, so scanWG.Add can never race scanWG.Wait from zero.
-	scanWG  sync.WaitGroup
-	closeMu sync.RWMutex
-	closed  bool
+	// drain tracks every scan goroutine, scatter and hedge alike.
+	drain resil.Drain
 
 	// Delta-swap counters: delta publications and how many shards each
 	// rebuilt vs shared with the previous snapshot.
 	deltaSwaps   *obs.Counter
 	deltaRebuilt *obs.Counter
 	deltaReused  *obs.Counter
-
-	// slow, when set, is called at the start of each shard scan — a test
-	// hook for injecting a wedged shard (Options.ScanHook).
-	slow func(shardIdx int)
-	// scanErr is the error-returning fault seam (Options.ScanErr).
-	scanErr func(shardIdx int) error
 }
 
 // NewEngine builds an engine over n shards; publish a table with Swap
@@ -145,26 +129,21 @@ func NewEngine(p Params, opts Options) *Engine {
 		reg = obs.NewRegistry()
 	}
 	e := &Engine{
-		p:            p,
-		n:            n,
-		shardTimeout: opts.ShardTimeout,
-		reg:          reg,
-		stats:        newShardStats(reg, n),
-		heaps:        make([]sync.Pool, n),
-		scratch:      make([]sync.Pool, n),
-		scalar:       opts.ScalarKernel,
-		slack:        float64(p.Dim) * 2 * p.Rho * (1 + p.Eta) * 1.2e-3,
-		twoRho32:     float32(2 * p.Rho),
-		hedgeDelay:   opts.HedgeDelay,
-		panicLog:     opts.PanicLog,
-		slow:         opts.ScanHook,
-		scanErr:      opts.ScanErr,
+		p:        p,
+		n:        n,
+		opts:     opts,
+		reg:      reg,
+		stats:    newShardStats(reg, n),
+		heaps:    make([]sync.Pool, n),
+		scratch:  make([]sync.Pool, n),
+		breakers: make([]*resil.Breaker, n),
+		slack:    float64(p.Dim) * 2 * p.Rho * (1 + p.Eta) * 1.2e-3,
+		twoRho32: float32(2 * p.Rho),
 	}
 	e.deltaSwaps = reg.Counter("halk_shard_delta_swaps_total", "Delta snapshot publications (Source.Dirty fast path).")
 	e.deltaRebuilt = reg.Counter("halk_shard_delta_shards_rebuilt_total", "Shards rebuilt across delta swaps.")
 	e.deltaReused = reg.Counter("halk_shard_delta_shards_reused_total", "Shards shared with the previous snapshot across delta swaps.")
 	if opts.Breaker != nil {
-		e.breakers = make([]*resil.Breaker, n)
 		for i := range e.breakers {
 			b := resil.NewBreaker(*opts.Breaker)
 			e.breakers[i] = b
@@ -182,16 +161,7 @@ func NewEngine(p Params, opts Options) *Engine {
 // begins are refused with ErrClosed (Swap and the read-only accessors
 // keep working), so Close may race in-flight queries safely. Close is
 // idempotent.
-func (e *Engine) Close() {
-	e.closeMu.Lock()
-	e.closed = true
-	e.closeMu.Unlock()
-	e.scanWG.Wait()
-}
-
-// Breakers returns the per-shard circuit breakers, or nil when breakers
-// are disabled.
-func (e *Engine) Breakers() []*resil.Breaker { return e.breakers }
+func (e *Engine) Close() { e.drain.Close() }
 
 // getHeap takes shard i's scratch heap from its pool (or allocates one)
 // and re-arms it for a k-bounded scan.
@@ -254,7 +224,7 @@ func (e *Engine) Swap(src Source) error {
 	// shards containing a dirty entity and share the rest (shardData is
 	// immutable after publication, so sharing across snapshots is safe).
 	if cur != nil && src.Dirty != nil && len(cur.shards) > 0 && src.Base == cur.shards[0].lo {
-		snap, rebuilt, err := deltaSnapshot(e.p, src, cur, !e.scalar)
+		snap, rebuilt, err := deltaSnapshot(e.p, src, cur, !e.opts.ScalarKernel)
 		if err != nil {
 			return err
 		}
@@ -264,7 +234,7 @@ func (e *Engine) Swap(src Source) error {
 		e.deltaReused.Add(uint64(len(cur.shards) - rebuilt))
 		return nil
 	}
-	snap, err := buildSnapshot(e.p, e.n, src, !e.scalar)
+	snap, err := buildSnapshot(e.p, e.n, src, !e.opts.ScalarKernel)
 	if err != nil {
 		return err
 	}
@@ -304,18 +274,12 @@ type batchSpec struct {
 }
 
 // localBatch is one shard's contribution to a gather: the sorted local
-// top-K of every query in the batch, or the shard-level outcome flags
-// (a shard skips or fails as a unit — one scan serves the whole batch).
+// top-K of every query in the batch, or skipped (a shard answers or
+// skips as a unit — one scan serves the whole batch).
 type localBatch struct {
 	d       [][]float64
 	id      [][]int32
 	skipped bool
-	// failed marks a shard-local fault (deadline miss, scan error,
-	// panic) that should count against the shard's circuit breaker.
-	failed bool
-	// tripped marks a shard skipped up front by an open breaker; it
-	// reports no outcome (the shard was never called).
-	tripped bool
 }
 
 // TopK scatters the prepared arcs to every shard, scans all of them in
@@ -323,7 +287,7 @@ type localBatch struct {
 // Scans poll ctx; a cancelled query returns ctx.Err(). Shards that miss
 // Options.ShardTimeout are skipped and the result is marked Partial.
 func (e *Engine) TopK(ctx context.Context, arcs []Arc, k int) (*Result, error) {
-	return e.run(ctx, arcs, k, math.Inf(1))
+	return e.TopKBound(ctx, arcs, k, math.Inf(1))
 }
 
 // TopKBound is TopK with the shared pruning bound seeded from outside:
@@ -335,7 +299,11 @@ func (e *Engine) TopK(ctx context.Context, arcs []Arc, k int) (*Result, error) {
 // that provably cannot enter the global top-K — so the merged result is
 // identical to an unseeded scan whenever the bound is valid.
 func (e *Engine) TopKBound(ctx context.Context, arcs []Arc, k int, bound float64) (*Result, error) {
-	return e.run(ctx, arcs, k, bound)
+	res, err := e.runBatch(ctx, []BatchItem{{Arcs: arcs, K: k}}, bound)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // RankBatch evaluates many queries in one gather: each shard runs a
@@ -351,30 +319,7 @@ func (e *Engine) RankBatch(ctx context.Context, items []BatchItem) ([]*Result, e
 	if len(items) == 0 {
 		return nil, fmt.Errorf("shard: empty batch")
 	}
-	for i := range items {
-		if items[i].K <= 0 {
-			return nil, fmt.Errorf("shard: batch item %d: k must be positive, got %d", i, items[i].K)
-		}
-		if len(items[i].Arcs) == 0 {
-			return nil, fmt.Errorf("shard: batch item %d has no arcs to rank", i)
-		}
-	}
 	return e.runBatch(ctx, items, math.Inf(1))
-}
-
-// run is the single-query entry: a batch of one.
-func (e *Engine) run(ctx context.Context, arcs []Arc, k int, bound float64) (*Result, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("shard: k must be positive, got %d", k)
-	}
-	if len(arcs) == 0 {
-		return nil, fmt.Errorf("shard: no arcs to rank")
-	}
-	res, err := e.runBatch(ctx, []BatchItem{{Arcs: arcs, K: k}}, bound)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
 }
 
 func (e *Engine) runBatch(ctx context.Context, items []BatchItem, bound float64) ([]*Result, error) {
@@ -382,10 +327,22 @@ func (e *Engine) runBatch(ctx context.Context, items []BatchItem, bound float64)
 	if snap == nil {
 		return nil, ErrNoSnapshot
 	}
+	// One check per gather, before any shard scores; scoreLocal indexes
+	// an arc's Hot by group id.
+	for qi, it := range items {
+		if it.K <= 0 || len(it.Arcs) == 0 {
+			return nil, fmt.Errorf("shard: item %d: k must be positive and arcs non-empty, got k=%d with %d arcs", qi, it.K, len(it.Arcs))
+		}
+		for ai := range it.Arcs {
+			if n := len(it.Arcs[ai].Hot); n <= int(snap.maxGroup) {
+				return nil, fmt.Errorf("%w: item %d arc %d has %d entries, group ids run to %d", ErrBadArc, qi, ai, n, snap.maxGroup)
+			}
+		}
+	}
 
-	spec := &batchSpec{items: items}
-	if !e.scalar {
-		spec.kern = prepareKernel(e.p.Dim, e.p.Eta, items)
+	g := &gather{e: e, qctx: ctx, snap: snap, spec: batchSpec{items: items}, locals: make([]localBatch, len(snap.shards))}
+	if !e.opts.ScalarKernel {
+		g.spec.kern = prepareKernel(e.p.Dim, e.p.Eta, items)
 	}
 
 	// gbounds holds each query's shared pruning bound: the smallest
@@ -393,201 +350,100 @@ func (e *Engine) runBatch(ctx context.Context, items []BatchItem, bound float64)
 	// shard's local k-th best is an upper bound on the global k-th best,
 	// so every shard may prune against it. A caller-supplied bound
 	// (TopKBound) seeds it before the first scan.
-	gbounds := make([]Bound, len(items))
-	for qi := range gbounds {
-		gbounds[qi].Init()
+	g.gbounds = make([]Bound, len(items))
+	for qi := range g.gbounds {
+		g.gbounds[qi].Init()
 		if bound > 0 && !math.IsInf(bound, 1) {
-			gbounds[qi].Update(bound)
+			g.gbounds[qi].Update(bound)
 		}
 	}
 
 	tr := obs.FromContext(ctx)
-	locals := make([]localBatch, len(snap.shards))
 	scatterStart := time.Now()
-	var wg sync.WaitGroup
-	e.closeMu.RLock()
-	if e.closed {
-		e.closeMu.RUnlock()
+	// Each shard is a one-candidate race, hedged back to the same
+	// immutable snapshot. One ShardTimeout per shard is shared by the
+	// primary and its hedge: re-reading the same memory, a fresh budget
+	// would only delay the partial, so a slow shard bounds the gather at
+	// ~ShardTimeout instead of hedge delay + ShardTimeout.
+	if !e.drain.Scatter(len(snap.shards), func(i int) {
+		sctx := ctx
+		if e.opts.ShardTimeout > 0 {
+			var cancel context.CancelFunc
+			sctx, cancel = context.WithTimeout(ctx, e.opts.ShardTimeout)
+			defer cancel()
+		}
+		var ok bool
+		g.locals[i], ok = resil.Race[int, localBatch](&e.drain, ctx, sctx, []int{i}, g)
+		g.locals[i].skipped = !ok
+	}) {
 		return nil, ErrClosed
 	}
-	for i := range snap.shards {
-		if e.breakers != nil && !e.breakers[i].Allow() {
-			// Open breaker: skip the shard up front — the response
-			// degrades to partial immediately instead of re-paying the
-			// deadline on a shard that keeps failing.
-			locals[i].skipped = true
-			locals[i].tripped = true
-			e.stats[i].recordBreakerSkip()
-			continue
-		}
-		wg.Add(1)
-		e.scanWG.Add(1)
-		go func(i int) {
-			defer e.scanWG.Done()
-			defer wg.Done()
-			e.runShard(ctx, snap, i, spec, gbounds, &locals[i])
-		}(i)
-	}
-	e.closeMu.RUnlock()
-	wg.Wait()
 	tr.Observe(obs.StageShardScatter, time.Since(scatterStart))
 	if err := ctx.Err(); err != nil {
-		// The whole query died; shard outcomes under a dead parent carry
-		// no signal, so the breakers record neither success nor failure.
-		// But a shard whose Allow admitted a half-open probe must release
-		// it: an unreported probe would leave the breaker refusing calls
-		// forever, permanently skipping a recovered shard.
-		if e.breakers != nil {
-			for i := range locals {
-				if !locals[i].tripped {
-					e.breakers[i].Cancel()
-				}
-			}
-		}
 		return nil, err
 	}
-	if e.breakers != nil {
-		for i := range locals {
-			switch {
-			case locals[i].tripped:
-				// Never called; no outcome.
-			case locals[i].failed:
-				e.breakers[i].Failure()
-			case !locals[i].skipped:
-				e.breakers[i].Success()
-			default:
-				// Skipped without a shard-local fault (the query died
-				// mid-scan, or a hedge race left no attributable cause):
-				// no outcome, but release an admitted probe.
-				e.breakers[i].Cancel()
-			}
-		}
-	}
 	mergeStart := time.Now()
-	res, err := mergeBatch(snap, locals, items)
+	res, err := mergeBatch(snap, g.locals, items)
 	tr.Observe(obs.StageHeapMerge, time.Since(mergeStart))
 	return res, err
 }
 
-// runShard runs one shard's scan, optionally racing a hedge: when the
-// primary scan has not returned after the shard's hedge delay, a second
-// identical scan is issued and the first (non-skipped) result wins.
-// Both scans read the same immutable snapshot, so whichever finishes
-// first returns byte-identical data.
-//
-// The per-shard deadline is applied once, here, and shared by the
-// primary and any hedge: the hedge inherits whatever remains of the
-// shard's budget rather than a fresh ShardTimeout, so a persistently
-// slow shard bounds the gather at ~ShardTimeout instead of
-// hedge delay + ShardTimeout.
-func (e *Engine) runShard(ctx context.Context, snap *snapshot, i int, spec *batchSpec, gbounds []Bound, out *localBatch) {
-	sctx := ctx
-	var cancel context.CancelFunc
-	if e.shardTimeout > 0 {
-		sctx, cancel = context.WithTimeout(ctx, e.shardTimeout)
-	} else {
-		sctx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel() // the losing scan is abandoned, not awaited
-	if e.hedgeDelay <= 0 {
-		e.scanShard(sctx, ctx, snap, i, spec, gbounds, out)
-		return
-	}
-
-	type scanDone struct {
-		local localBatch
-		hedge bool
-	}
-	// Buffered so the losing scan's send never blocks after we return.
-	results := make(chan scanDone, 2)
-	launch := func(hedge bool) {
-		e.scanWG.Add(1)
-		go func() {
-			defer e.scanWG.Done()
-			var l localBatch
-			e.scanShard(sctx, ctx, snap, i, spec, gbounds, &l)
-			results <- scanDone{local: l, hedge: hedge}
-		}()
-	}
-	launch(false)
-	timer := time.NewTimer(e.hedgeDelayFor(i))
-	defer timer.Stop()
-	select {
-	case r := <-results:
-		*out = r.local
-		return
-	case <-timer.C:
-		e.stats[i].recordHedge()
-		launch(true)
-	}
-	first := <-results
-	if !first.local.skipped {
-		*out = first.local
-		if first.hedge {
-			e.stats[i].recordHedgeWin()
-		}
-		return
-	}
-	// The first finisher was a skip; give the other scan its chance.
-	second := <-results
-	if !second.local.skipped {
-		*out = second.local
-		if second.hedge {
-			e.stats[i].recordHedgeWin()
-		}
-		return
-	}
-	out.skipped = true
-	out.failed = first.local.failed || second.local.failed
+// gather is one runBatch's state shared by its shard races, and their
+// resil.Target with the shard index as the candidate.
+type gather struct {
+	e       *Engine
+	qctx    context.Context
+	snap    *snapshot
+	spec    batchSpec
+	gbounds []Bound
+	locals  []localBatch
 }
 
-// hedgeDelayFor derives shard i's hedge delay: the configured floor
-// raised to the shard's observed p99 scan latency, capped at the shard
-// timeout (hedging after the deadline would race a lost cause).
-func (e *Engine) hedgeDelayFor(i int) time.Duration {
-	d := e.hedgeDelay
-	if p99 := e.stats[i].scanMs.Quantile(0.99); p99 > 0 {
-		if observed := time.Duration(p99 * float64(time.Millisecond)); observed > d {
-			d = observed
-		}
-	}
-	if e.shardTimeout > 0 && d > e.shardTimeout {
-		d = e.shardTimeout
-	}
-	return d
+func (g *gather) Breaker(i int) *resil.Breaker { return g.e.breakers[i] }
+
+func (g *gather) HedgeDelay(i int) time.Duration {
+	p99 := time.Duration(g.e.stats[i].scanMs.Quantile(0.99) * float64(time.Millisecond))
+	return resil.HedgeDelay(g.e.opts.HedgeDelay, g.e.opts.ShardTimeout, p99)
 }
 
-// scanShard runs one shard's local top-K scan for the whole batch under
-// sctx — the shard-scoped context already carrying the per-shard
-// deadline (see runShard) — and records latency/skip counters; qctx is
-// the whole query's context, consulted only to classify failures. A
-// panic anywhere in the scan is contained here: the shard is reported as
-// skipped+failed (the gather degrades to a partial result, exactly like
-// a deadline miss) and the stack is counted and logged — one poisoned
-// shard never takes down the process or the query's siblings.
-func (e *Engine) scanShard(sctx, qctx context.Context, snap *snapshot, i int, spec *batchSpec, gbounds []Bound, out *localBatch) {
+func (g *gather) Note(i int, ev resil.Event) {
+	switch ev {
+	case resil.Refused:
+		g.e.stats[i].breakerSkips.Inc()
+	case resil.Hedged:
+		g.e.stats[i].hedges.Inc()
+	case resil.HedgeWon:
+		g.e.stats[i].hedgeWins.Inc()
+	}
+}
+
+// Attempt runs shard i's local top-K scan for the whole batch under the
+// shard's deadline context and records its counters. A panic in the scan
+// is contained here: the shard fails (the gather degrades to a partial
+// result, exactly like a deadline miss) and the stack is counted and
+// logged — one poisoned shard never takes down the process or the
+// query's siblings.
+func (g *gather) Attempt(sctx context.Context, i int) (out localBatch, res resil.Outcome) {
+	e, spec := g.e, &g.spec
 	defer func() {
 		if v := recover(); v != nil {
-			out.skipped = true
-			out.failed = true
-			e.stats[i].recordPanic()
-			logger := e.panicLog
+			res = resil.Failed
+			e.stats[i].panics.Inc()
+			logger := e.opts.PanicLog
 			if logger == nil {
 				logger = log.Default()
 			}
 			logger.Printf("shard: recovered panic in shard %d scan: %v\n%s", i, v, debug.Stack())
 		}
 	}()
-	sd := &snap.shards[i]
-	if e.slow != nil {
-		e.slow(i)
+	sd := &g.snap.shards[i]
+	if e.opts.ScanHook != nil {
+		e.opts.ScanHook(i)
 	}
-	if e.scanErr != nil {
-		if err := e.scanErr(i); err != nil {
-			out.skipped = true
-			out.failed = true
-			e.stats[i].recordError()
-			return
+	if e.opts.ScanErr != nil {
+		if err := e.opts.ScanErr(i); err != nil {
+			e.stats[i].errors.Inc()
+			return out, resil.Failed
 		}
 	}
 	start := time.Now()
@@ -603,29 +459,26 @@ func (e *Engine) scanShard(sctx, qctx context.Context, snap *snapshot, i int, sp
 	var sc scanCounters
 	var err error
 	if spec.kern != nil && sd.cos32 != nil {
-		err = e.scanBlocked(sctx, i, sd, spec, heaps, gbounds, &sc)
+		err = e.scanBlocked(sctx, i, sd, spec, heaps, g.gbounds, &sc)
 	} else {
 		for qi := range spec.items {
-			if err = e.scanRange(sctx, sd, spec.items[qi].Arcs, heaps[qi], &gbounds[qi]); err != nil {
+			if err = e.scanRange(sctx, sd, spec.items[qi].Arcs, heaps[qi], &g.gbounds[qi]); err != nil {
 				break
 			}
 		}
 	}
 	elapsed := float64(time.Since(start)) / float64(time.Millisecond)
 	if err != nil {
-		// Classify the abort: the query context dying is handled at the
-		// gather (the whole request failed, no shard is at fault); the
-		// shard deadline expiring is a shard-local fault (skip counter +
-		// breaker failure); a plain cancellation with the query alive
-		// means this scan lost a hedge race and its result is discarded —
-		// neither a failure nor a stat.
-		out.skipped = true
-		if qctx.Err() == nil && errors.Is(sctx.Err(), context.DeadlineExceeded) {
-			out.failed = true
-			e.stats[i].recordSkip()
-		}
 		release()
-		return
+		// Classify the abort: the shard deadline expiring while the query
+		// lives is a shard-local fault (skip counter + breaker failure);
+		// the query dying, or this scan losing a hedge race, is neither
+		// a failure nor a stat.
+		if g.qctx.Err() == nil && errors.Is(sctx.Err(), context.DeadlineExceeded) {
+			e.stats[i].skips.Inc()
+			return out, resil.Failed
+		}
+		return out, resil.Lost
 	}
 	out.d = make([][]float64, len(heaps))
 	out.id = make([][]int32, len(heaps))
@@ -635,6 +488,7 @@ func (e *Engine) scanShard(sctx, qctx context.Context, snap *snapshot, i int, sp
 	release()
 	e.stats[i].record(elapsed)
 	e.stats[i].recordKernel(&sc)
+	return out, resil.Won
 }
 
 // mergeBatch folds the per-shard sorted top-K lists into each query's

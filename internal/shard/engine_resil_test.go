@@ -255,7 +255,7 @@ func TestCancelledProbeDoesNotWedgeBreaker(t *testing.T) {
 			t.Fatalf("tripping gather %d: %v", i, err)
 		}
 	}
-	if st := e.Breakers()[0].State(); st != resil.Open {
+	if st := e.breakers[0].State(); st != resil.Open {
 		t.Fatalf("breaker = %v, want open", st)
 	}
 
@@ -264,7 +264,7 @@ func TestCancelledProbeDoesNotWedgeBreaker(t *testing.T) {
 	// of them actually carries the probe (state reaches half-open).
 	inj.Clear()
 	deadline := time.Now().Add(2 * time.Second)
-	for e.Breakers()[0].State() != resil.HalfOpen {
+	for e.breakers[0].State() != resil.HalfOpen {
 		if time.Now().After(deadline) {
 			t.Fatal("cool-down never expired; no probe was admitted")
 		}
@@ -293,7 +293,7 @@ func TestCancelledProbeDoesNotWedgeBreaker(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st := e.Breakers()[0].State(); st != resil.Closed {
+	if st := e.breakers[0].State(); st != resil.Closed {
 		t.Fatalf("breaker after recovery = %v, want closed", st)
 	}
 }
@@ -349,8 +349,8 @@ func TestHedgeSharesShardDeadline(t *testing.T) {
 }
 
 // TestCloseRacesInFlightQueries hammers Close against concurrent
-// gathers: the closed-engine guard must prevent scanWG.Add racing
-// scanWG.Wait (WaitGroup misuse → panic under load), and queries issued
+// gathers: the drain's closed flag must prevent a WaitGroup Add racing
+// its Wait (WaitGroup misuse → panic under load), and queries issued
 // after Close must fail with ErrClosed instead of leaking goroutines.
 func TestCloseRacesInFlightQueries(t *testing.T) {
 	p, src, _, pre := testSetup(3, 64, 4, 2, 3)

@@ -184,7 +184,7 @@ func TestPartialResultOnSlowShard(t *testing.T) {
 	if err := e.Swap(src); err != nil {
 		t.Fatal(err)
 	}
-	e.slow = func(i int) {
+	e.opts.ScanHook = func(i int) {
 		if i == 1 {
 			time.Sleep(150 * time.Millisecond)
 		}
@@ -228,7 +228,7 @@ func TestAllShardsSkipped(t *testing.T) {
 	if err := e.Swap(src); err != nil {
 		t.Fatal(err)
 	}
-	e.slow = func(int) { time.Sleep(80 * time.Millisecond) }
+	e.opts.ScanHook = func(int) { time.Sleep(80 * time.Millisecond) }
 	if _, err := e.TopK(context.Background(), pre, 5); err != ErrAllShardsSkipped {
 		t.Fatalf("err = %v, want ErrAllShardsSkipped", err)
 	}

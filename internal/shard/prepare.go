@@ -1,11 +1,11 @@
 // Package shard implements the sharded entity-ranking engine: the
 // entity table is partitioned into N contiguous ID ranges, each shard
-// owning its own cos/sin trig tables (and, optionally, an ANN bucket
-// index); a query scatters its prepared arc parameters to every shard in
-// parallel, each shard produces a local top-K over an inline scoring
-// loop with a bounded heap, and the shard heaps merge into the global
-// top-K. Shards read versioned immutable snapshots published by Swap, so
-// online embedding updates never block — or race with — in-flight scans.
+// owning its own cos/sin trig tables; a query scatters its prepared arc
+// parameters to every shard in parallel, each shard produces a local
+// top-K over an inline scoring loop with a bounded heap, and the shard
+// heaps merge into the global top-K. Shards read versioned immutable
+// snapshots published by Swap, so online embedding updates never block —
+// or race with — in-flight scans.
 //
 // The scoring formula is HaLk's entity-to-arc distance (Eq. 15–16 plus
 // the group penalty of Eq. 17) evaluated over cached unit vectors,
@@ -38,13 +38,7 @@ type Arc struct {
 	CosC, SinC []float64
 	SH         []float64 // |sin(L/(4ρ))| — half-arc bound of d_i
 	Hot        []float64
-	C          []float64 // raw center angles, for ANN probing
-	Radius     float64   // probe radius: half the widest arc angle plus slack
 }
-
-// minProbeRadius is the slack floor of the ANN probe radius; narrow arcs
-// still probe a band of adjacent buckets so near-misses stay reachable.
-const minProbeRadius = 0.3
 
 // PrepareArc computes the trigonometric tables of one value-level arc
 // (center angles C, arclengths L, group hot vector) for inline scoring.
@@ -54,10 +48,8 @@ func PrepareArc(p Params, c, l, hot []float64) Arc {
 		CosS: make([]float64, d), SinS: make([]float64, d),
 		CosE: make([]float64, d), SinE: make([]float64, d),
 		CosC: make([]float64, d), SinC: make([]float64, d),
-		SH:     make([]float64, d),
-		Hot:    hot,
-		C:      append([]float64(nil), c...),
-		Radius: minProbeRadius,
+		SH:  make([]float64, d),
+		Hot: hot,
 	}
 	for j := 0; j < d; j++ {
 		s := c[j] - l[j]/(2*p.Rho)
@@ -66,9 +58,6 @@ func PrepareArc(p Params, c, l, hot []float64) Arc {
 		a.CosE[j], a.SinE[j] = math.Cos(e), math.Sin(e)
 		a.CosC[j], a.SinC[j] = math.Cos(c[j]), math.Sin(c[j])
 		a.SH[j] = math.Abs(math.Sin(l[j] / (4 * p.Rho)))
-		if half := l[j] / (4 * p.Rho); half > a.Radius {
-			a.Radius = half
-		}
 	}
 	return a
 }

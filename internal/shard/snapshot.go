@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -43,6 +44,16 @@ type snapshot struct {
 	version     uint64
 	numEntities int
 	shards      []shardData
+	// maxGroup is the largest group id, which every arc's Hot must index
+	// (runBatch checks); -1 when the group penalty is off.
+	maxGroup int32
+}
+
+func maxGroupID(p Params, src Source) int32 {
+	if p.Xi > 0 && len(src.Group) > 0 {
+		return slices.Max(src.Group)
+	}
+	return -1
 }
 
 // shardData is one shard's immutable view: the contiguous entity range
@@ -117,6 +128,7 @@ func buildSnapshot(p Params, n int, src Source, blocked bool) (*snapshot, error)
 		version:     src.Version,
 		numEntities: ents,
 		shards:      make([]shardData, n),
+		maxGroup:    maxGroupID(p, src),
 	}
 	per, rem := ents/n, ents%n
 	lo := src.Base
@@ -146,6 +158,7 @@ func deltaSnapshot(p Params, src Source, cur *snapshot, blocked bool) (*snapshot
 		version:     src.Version,
 		numEntities: cur.numEntities,
 		shards:      make([]shardData, len(cur.shards)),
+		maxGroup:    maxGroupID(p, src),
 	}
 	rebuilt := 0
 	for i := range cur.shards {

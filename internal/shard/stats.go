@@ -65,13 +65,6 @@ func (st *shardStat) record(ms float64) {
 	st.maxMs.SetMax(ms)
 }
 
-func (st *shardStat) recordSkip()        { st.skips.Inc() }
-func (st *shardStat) recordError()       { st.errors.Inc() }
-func (st *shardStat) recordPanic()       { st.panics.Inc() }
-func (st *shardStat) recordBreakerSkip() { st.breakerSkips.Inc() }
-func (st *shardStat) recordHedge()       { st.hedges.Inc() }
-func (st *shardStat) recordHedgeWin()    { st.hedgeWins.Inc() }
-
 // recordKernel folds one completed scan's blocked-kernel counters in.
 func (st *shardStat) recordKernel(sc *scanCounters) {
 	if sc.envSkips > 0 {
@@ -147,8 +140,8 @@ func (e *Engine) Stats() []ShardStats {
 			MeanScanMs:      st.scanMs.Mean(),
 			MaxScanMs:       st.maxMs.Value(),
 		}
-		if e.breakers != nil {
-			bs := e.breakers[i].Stats()
+		if b := e.breakers[i]; b != nil {
+			bs := b.Stats()
 			out[i].Breaker = &bs
 		}
 		if snap != nil {
