@@ -24,6 +24,7 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
+	"os"
 	"strings"
 	"time"
 
@@ -98,6 +99,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if *k < 1 {
+		log.Print("-k must be at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *server != "" {
 		if *sparqlSrc == "" && *dsl == "" && *structure == "" {
 			log.Fatal("pass -sparql, -query or -structure")

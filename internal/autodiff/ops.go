@@ -433,11 +433,24 @@ func (t *Tape) MatVec(w, x, b V, rows, cols int) V {
 	}
 	wv, xv, bv := w.Value(), x.Value(), b.Value()
 	v := t.alloc(rows)
+	// The dot product is unrolled by four into one accumulator: the same
+	// additions in the same order, so the same bits. A one-statement body
+	// compiles to a five-instruction loop whose speed hinged on where the
+	// linker happened to place it — an unrelated 32-byte shift of this
+	// function made the online embed 35 % slower on a 2-vCPU Xeon.
 	for r := 0; r < rows; r++ {
 		s := bv[r]
 		row := wv[r*cols : (r+1)*cols]
-		for c, xc := range xv {
-			s += row[c] * xc
+		row = row[:len(xv)]
+		c := 0
+		for ; c+4 <= len(xv); c += 4 {
+			s += row[c] * xv[c]
+			s += row[c+1] * xv[c+1]
+			s += row[c+2] * xv[c+2]
+			s += row[c+3] * xv[c+3]
+		}
+		for ; c < len(xv); c++ {
+			s += row[c] * xv[c]
 		}
 		v[r] = s
 	}

@@ -132,6 +132,40 @@ func TestConcatGradient(t *testing.T) {
 	}
 }
 
+// TestMatVecSameBitsAsPlainLoop pins MatVec's unrolled dot product to
+// the one-accumulator loop it replaces, bit for bit, on every remainder
+// of the four-way unroll.
+func TestMatVecSameBitsAsPlainLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for rows := 1; rows <= 3; rows++ {
+		for cols := 1; cols <= 13; cols++ {
+			w := make([]float64, rows*cols)
+			x := make([]float64, cols)
+			b := make([]float64, rows)
+			for i := range w {
+				w[i] = rng.NormFloat64()
+			}
+			for i := range x {
+				x[i] = rng.NormFloat64() * 1e3
+			}
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			tp := NewTape()
+			got := tp.MatVec(tp.Const(w), tp.Const(x), tp.Const(b), rows, cols).Value()
+			for r := 0; r < rows; r++ {
+				want := b[r]
+				for c, xc := range x {
+					want += w[r*cols+c] * xc
+				}
+				if math.Float64bits(got[r]) != math.Float64bits(want) {
+					t.Fatalf("%dx%d row %d: MatVec %v, plain loop %v", rows, cols, r, got[r], want)
+				}
+			}
+		}
+	}
+}
+
 func TestMatVecGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rows, cols := 3, 4

@@ -1,8 +1,6 @@
 package halk
 
 import (
-	"math"
-
 	"github.com/halk-kg/halk/internal/ann"
 	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/query"
@@ -58,13 +56,13 @@ func (ai *AnswerIndex) TopKApprox(n *query.Node, k int) []kg.EntityID {
 		e kg.EntityID
 		d float64
 	}
+	p := ai.m.shardParams()
+	cosT, sinT := ai.m.trig.tables(ai.m.ent.Data, ai.m.EntityVersion())
 	ranked := make([]scored, 0, len(pool))
 	for e := range pool {
-		ranked = append(ranked, scored{e, ai.m.scoreOne(e, pre)})
+		ranked = append(ranked, scored{e, ai.m.score(p, cosT, sinT, e, pre)})
 	}
-	if k > len(ranked) {
-		k = len(ranked)
-	}
+	k = max(0, min(k, len(ranked)))
 	// partial selection of the k smallest
 	for i := 0; i < k; i++ {
 		min := i
@@ -96,30 +94,4 @@ func (ai *AnswerIndex) PoolSize(n *query.Node) int {
 		}
 	}
 	return len(pool)
-}
-
-// scoreOne computes the fast-path distance of one entity against the
-// prepared arcs.
-func (m *Model) scoreOne(e kg.EntityID, arcs []preArc) float64 {
-	d := m.cfg.Dim
-	cosT, sinT := m.trig.tables(m.ent.Data, m.EntityVersion())
-	base := int(e) * d
-	best := math.Inf(1)
-	for ai := range arcs {
-		pa := &arcs[ai]
-		sum := 0.0
-		for j := 0; j < d; j++ {
-			cp, sp := cosT[base+j], sinT[base+j]
-			cs := cp*pa.CosS[j] + sp*pa.SinS[j]
-			ce := cp*pa.CosE[j] + sp*pa.SinE[j]
-			cc := cp*pa.CosC[j] + sp*pa.SinC[j]
-			do := halfSin(math.Max(cs, ce))
-			di := math.Min(halfSin(cc), pa.SH[j])
-			sum += 2 * m.cfg.Rho * (do + m.cfg.Eta*di)
-		}
-		if s := sum + m.groupPenalty(e, pa.Hot); s < best {
-			best = s
-		}
-	}
-	return best
 }

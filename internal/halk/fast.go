@@ -9,6 +9,10 @@ import (
 	"github.com/halk-kg/halk/internal/shard"
 )
 
+// This file is the unsharded exact ranker: the trig cache over the
+// model's entity table and the full scan that scores every entity with
+// shard.Score, the scorer the shard engine and the approx rescore share.
+
 // trigCache memoises cos/sin of every entity angle so that online
 // ranking (Distances over all entities) avoids per-query trigonometry:
 // chord lengths reduce to dot products of cached unit vectors,
@@ -54,7 +58,8 @@ func (tc *trigCache) tables(data []float64, version uint64) (cosT, sinT []float6
 
 // preArc is a query arc prepared for fast scoring; it is the shard
 // engine's prepared-arc type, so the single-node path and the sharded
-// path share one preparation (and therefore identical float behaviour).
+// path share one preparation and one scorer (and therefore the same
+// bits).
 type preArc = shard.Arc
 
 func (m *Model) prepareArc(a ValueArc) preArc {
@@ -66,30 +71,19 @@ func (m *Model) shardParams() shard.Params {
 	return shard.Params{Dim: m.cfg.Dim, Rho: m.cfg.Rho, Eta: m.cfg.Eta, Xi: m.cfg.Xi}
 }
 
-// halfSin returns |sin(Δ/2)| from cos Δ, clamped against rounding.
-func halfSin(cosD float64) float64 {
-	x := (1 - cosD) / 2
-	if x < 0 {
-		x = 0
-	}
-	return math.Sqrt(x)
-}
-
 // ctxCheckStride is how many entities fastDistances scores between
 // context-cancellation checks: frequent enough to honour tight serving
 // deadlines, rare enough to keep the check off the hot loop's profile.
 const ctxCheckStride = 1024
 
-// fastDistances scores every entity against the prepared arcs using the
+// fastDistances scores every entity against the prepared arcs over the
 // trig cache; identical (to rounding) to geometry.Distance + group
-// penalty, minimised over disjuncts. The group penalty is computed
-// inline per (entity, arc) — groupPenalty is O(1) — so the only
-// allocation is the output vector. A non-nil ctx is polled every
-// ctxCheckStride entities so long scans can be abandoned mid-flight.
+// penalty, minimised over disjuncts. The only allocation is the output
+// vector. A non-nil ctx is polled every ctxCheckStride entities so long
+// scans can be abandoned mid-flight.
 func (m *Model) fastDistances(ctx context.Context, arcs []preArc) ([]float64, error) {
-	d := m.cfg.Dim
+	p := m.shardParams()
 	cosT, sinT := m.trig.tables(m.ent.Data, m.EntityVersion())
-	twoRho := 2 * m.cfg.Rho
 	out := make([]float64, m.graph.NumEntities())
 	for e := range out {
 		if ctx != nil && e%ctxCheckStride == 0 {
@@ -97,25 +91,14 @@ func (m *Model) fastDistances(ctx context.Context, arcs []preArc) ([]float64, er
 				return nil, err
 			}
 		}
-		base := e * d
-		best := math.Inf(1)
-		for ai := range arcs {
-			pa := &arcs[ai]
-			sum := 0.0
-			for j := 0; j < d; j++ {
-				cp, sp := cosT[base+j], sinT[base+j]
-				cs := cp*pa.CosS[j] + sp*pa.SinS[j]
-				ce := cp*pa.CosE[j] + sp*pa.SinE[j]
-				cc := cp*pa.CosC[j] + sp*pa.SinC[j]
-				do := halfSin(math.Max(cs, ce)) // min sin == max cos
-				di := math.Min(halfSin(cc), pa.SH[j])
-				sum += twoRho * (do + m.cfg.Eta*di)
-			}
-			if s := sum + m.groupPenalty(kg.EntityID(e), pa.Hot); s < best {
-				best = s
-			}
-		}
-		out[e] = best
+		out[e] = m.score(p, cosT, sinT, kg.EntityID(e), arcs)
 	}
 	return out, nil
+}
+
+// score is the unpruned shard.Score of entity e over the trig tables.
+func (m *Model) score(p shard.Params, cosT, sinT []float64, e kg.EntityID, arcs []preArc) float64 {
+	row := int(e) * p.Dim
+	group := int32(m.groups.GroupOf(e))
+	return shard.Score(p, cosT[row:row+p.Dim], sinT[row:row+p.Dim], group, arcs, math.Inf(1))
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/halk-kg/halk/internal/ann"
 	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/query"
 )
@@ -15,19 +16,41 @@ import (
 func TestFastDistancesMatchesReference(t *testing.T) {
 	m, ds := testModel(t, 41)
 	s := query.NewSampler(ds.Train, rand.New(rand.NewSource(42)))
-	for _, structure := range []string{"1p", "2i", "2u", "dp", "2in"} {
+	for _, structure := range identityStructures() {
 		q, ok := s.Sample(structure)
 		if !ok {
 			t.Fatalf("sampling %s failed", structure)
 		}
 		fast := m.Distances(q)
 		arcs := m.EmbedQuery(q)
-		for e := 0; e < ds.Train.NumEntities(); e += 7 {
+		for e := 0; e < ds.Train.NumEntities(); e++ {
 			slow := m.distanceTo(kg.EntityID(e), arcs)
 			if math.Abs(fast[e]-slow) > 1e-9 {
 				t.Fatalf("%s: entity %d: fast %.12f != slow %.12f", structure, e, fast[e], slow)
 			}
 		}
+	}
+}
+
+// TestNegativeKReturnsEmpty: a negative k asks for no answers; every
+// top-k entry point returns an empty list instead of panicking.
+func TestNegativeKReturnsEmpty(t *testing.T) {
+	m, ds := testModel(t, 49)
+	s := query.NewSampler(ds.Train, rand.New(rand.NewSource(50)))
+	q, ok := s.Sample("2p")
+	if !ok {
+		t.Fatal("sampling failed")
+	}
+	if got := m.TopK(q, -1); len(got) != 0 {
+		t.Errorf("TopK(k=-1) = %v, want empty", got)
+	}
+	got, err := m.TopKContext(context.Background(), q, -1)
+	if err != nil || len(got) != 0 {
+		t.Errorf("TopKContext(k=-1) = %v, %v; want empty, nil", got, err)
+	}
+	ai := m.NewAnswerIndex(ann.DefaultConfig(50))
+	if got := ai.TopKApprox(q, -1); len(got) != 0 {
+		t.Errorf("TopKApprox(k=-1) = %v, want empty", got)
 	}
 }
 

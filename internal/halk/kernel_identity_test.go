@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/halk-kg/halk/internal/ann"
 	"github.com/halk-kg/halk/internal/autodiff"
 	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/query"
@@ -330,5 +331,71 @@ func TestKernelIdentityForwardTape(t *testing.T) {
 		readers.Wait()
 		close(stop)
 		writer.Wait()
+	}
+}
+
+// TestDistancesMatchScalarEngine pins the full distance vector, not
+// just a top-k: for every structure, Model.Distances(q)[e] has the bits
+// of the distance a one-shard scalar engine returns for e at k = |E|,
+// for every entity e — with the group penalty on (the default config)
+// and off (Xi = 0).
+func TestDistancesMatchScalarEngine(t *testing.T) {
+	for _, xi := range []float64{DefaultConfig(0).Xi, 0} {
+		ds := kg.SynthFB237(87)
+		cfg := testConfig(87)
+		cfg.Xi = xi
+		m := New(ds.Train, cfg)
+		r, err := m.NewShardedRanker(shard.Options{Shards: 1, ScalarKernel: true})
+		if err != nil {
+			t.Fatalf("NewShardedRanker: %v", err)
+		}
+		n := m.graph.NumEntities()
+		s := query.NewSampler(ds.Train, rand.New(rand.NewSource(88)))
+		for _, structure := range identityStructures() {
+			q, ok := s.Sample(structure)
+			if !ok {
+				t.Fatalf("sampling %s failed", structure)
+			}
+			dist := m.Distances(q)
+			res, err := r.RankTopK(context.Background(), q, n)
+			if err != nil {
+				t.Fatalf("xi=%v %s: RankTopK: %v", xi, structure, err)
+			}
+			if len(dist) != n || len(res.IDs) != n {
+				t.Fatalf("xi=%v %s: Distances has %d entries, engine %d, want %d", xi, structure, len(dist), len(res.IDs), n)
+			}
+			for i, e := range res.IDs {
+				if math.Float64bits(dist[e]) != math.Float64bits(res.Dists[i]) {
+					t.Fatalf("xi=%v %s: entity %d: Distances %v, scalar engine %v", xi, structure, e, dist[e], res.Dists[i])
+				}
+			}
+		}
+		r.Close()
+	}
+}
+
+// TestTopKApproxRescoresExact pins the approx rescore to the exact
+// distance: for every structure, the IDs TopKApprox returns are in
+// (Distances(q)[id], id) order.
+func TestTopKApproxRescoresExact(t *testing.T) {
+	m, ds := testModel(t, 89)
+	ai := m.NewAnswerIndex(ann.DefaultConfig(90))
+	s := query.NewSampler(ds.Train, rand.New(rand.NewSource(91)))
+	for _, structure := range identityStructures() {
+		q, ok := s.Sample(structure)
+		if !ok {
+			t.Fatalf("sampling %s failed", structure)
+		}
+		dist := m.Distances(q)
+		got := ai.TopKApprox(q, 20)
+		if len(got) == 0 {
+			t.Fatalf("%s: empty approximate answer set", structure)
+		}
+		for i := 1; i < len(got); i++ {
+			a, b := got[i-1], got[i]
+			if dist[a] > dist[b] || (dist[a] == dist[b] && a >= b) {
+				t.Fatalf("%s: rank %d (entity %d, %v) comes before entity %d (%v)", structure, i-1, a, dist[a], b, dist[b])
+			}
+		}
 	}
 }

@@ -41,7 +41,8 @@ func (m *Model) distance(t *autodiff.Tape, point autodiff.V, arc Arc) autodiff.V
 // Group vectors are not trained, so the term is a constant per pair.
 // Since h_v is one-hot (and hot is elementwise non-negative), the L1
 // sum collapses to the single term at the entity's own group — O(1)
-// and allocation-free, which keeps it off the fastDistances profile.
+// and allocation-free. The ranking paths apply the same term inside
+// shard.Score.
 func (m *Model) groupPenalty(e kg.EntityID, hot []float64) float64 {
 	if d := 1 - hot[m.groups.GroupOf(e)]; d > 0 {
 		return m.cfg.Xi * d
@@ -199,8 +200,9 @@ func (m *Model) distancesLocked(ctx context.Context, n *query.Node) ([]float64, 
 	return m.fastDistances(ctx, m.prepareQuery(t, n))
 }
 
-// distanceTo is the reference (slow) scoring path; the fast path in
-// fast.go must agree with it, which the tests assert.
+// distanceTo is the reference (slow) scoring path; the trig-cached
+// shard.Score path in fast.go must agree with it to rounding, which the
+// tests assert.
 func (m *Model) distanceTo(e kg.EntityID, arcs []ValueArc) float64 {
 	point := m.ent.Row(int(e))
 	best := 0.0
@@ -240,9 +242,7 @@ func (m *Model) CandidatesPerNode(n *query.Node, k int) map[*query.Node][]kg.Ent
 }
 
 func lowestK(d []float64, k int) []kg.EntityID {
-	if k > len(d) {
-		k = len(d)
-	}
+	k = max(0, min(k, len(d)))
 	idx := make([]kg.EntityID, len(d))
 	for i := range idx {
 		idx[i] = kg.EntityID(i)

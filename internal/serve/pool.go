@@ -28,8 +28,8 @@ func (e *PanicError) Error() string {
 }
 
 // workerPool bounds ranking concurrency to a fixed number of goroutines
-// so an arbitrary number of HTTP connections shares the fastDistances
-// hot loop without spawning a ranking goroutine per request. Submission
+// so an arbitrary number of HTTP connections shares the ranking scan
+// without spawning a ranking goroutine per request. Submission
 // is unbuffered: Do blocks until a worker is free or the request context
 // expires, which gives natural backpressure under overload.
 type workerPool struct {

@@ -8,9 +8,9 @@
 // or race with — in-flight scans.
 //
 // The scoring formula is HaLk's entity-to-arc distance (Eq. 15–16 plus
-// the group penalty of Eq. 17) evaluated over cached unit vectors,
-// term-for-term identical to the single-node fast path in internal/halk,
-// so the sharded top-K matches the full-scan ranking exactly.
+// the group penalty of Eq. 17) evaluated over cached unit vectors by
+// Score, which the unsharded full scan in internal/halk calls too, so
+// the sharded top-K matches the full-scan ranking exactly.
 package shard
 
 import "math"

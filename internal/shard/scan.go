@@ -44,10 +44,10 @@ func (b *Bound) Update(v float64) {
 }
 
 // scanRange scores every entity of the shard against the arcs, keeping
-// the local k best in a bounded heap. The accumulation order per entity
-// is identical to the single-node fast path, so retained distances match
-// a full scan bit for bit; pruning only skips entities whose partial sum
-// already exceeds what the global top-K could admit.
+// the local k best in a bounded heap. Every entity goes through Score,
+// the scorer the unsharded full scan uses too, so retained distances
+// match a full scan bit for bit; pruning only skips entities whose
+// partial sum already exceeds what the global top-K could admit.
 func (e *Engine) scanRange(ctx context.Context, sd *shardData, arcs []Arc, h *topK, gbound *Bound) error {
 	ents := sd.hi - sd.lo
 	for li := 0; li < ents; li++ {
@@ -62,27 +62,51 @@ func (e *Engine) scanRange(ctx context.Context, sd *shardData, arcs []Arc, h *to
 }
 
 // scoreLocal scores shard-local entity li (global ID sd.lo+li) against
-// every arc, minimising over arcs, and offers the result to the heap. It
-// prunes against min(local heap bound, shared global bound): terms are
-// non-negative, so a partial sum strictly above the bound can neither
-// improve this entity's running best nor enter the top-K.
-//
-// The entity row and arc tables are re-sliced to exactly dim elements up
-// front so the inner loop runs free of bounds checks, and the builtin
-// min/max are used over math.Min/math.Max — identical semantics for
-// every float64 input (NaN propagation and signed-zero ordering
-// included), but inlined instead of a call.
+// the arcs and offers the result to the heap, pruning against
+// min(local heap bound, shared global bound).
 func (e *Engine) scoreLocal(sd *shardData, arcs []Arc, li int, h *topK, gbound *Bound) {
 	dim := e.p.Dim
-	twoRho := 2 * e.p.Rho
-	eta := e.p.Eta
 	base := li * dim
-	cosR := sd.cos[base : base+dim : base+dim]
-	sinR := sd.sin[base : base+dim : base+dim]
 	thr := h.bound()
 	if g := gbound.Load(); g < thr {
 		thr = g
 	}
+	var group int32
+	if sd.group != nil {
+		group = sd.group[li]
+	}
+	best := Score(e.p, sd.cos[base:base+dim], sd.sin[base:base+dim], group, arcs, thr)
+	if math.IsInf(best, 1) {
+		return
+	}
+	if h.push(best, int32(sd.lo+li)) && h.full() {
+		gbound.Update(h.bound())
+	}
+}
+
+// Score is HaLk's exact entity-to-query distance (Eq. 15–16 plus the
+// group penalty of Eq. 17, minimised over the query's DNF arcs) of one
+// entity, given the cos/sin rows of its angles and its group id (read
+// only when p.Xi > 0). It is the one place the distance is evaluated
+// over cached unit vectors: the shard scan, the unsharded full scan
+// behind halk.Model.Distances and the approx rescore all call it, so
+// every ranker returns the same bits.
+//
+// An arc whose partial sum strictly exceeds min(lim, best so far) is
+// abandoned: terms are non-negative, so it can neither improve the
+// entity's best nor beat lim. Score returns +Inf when every arc is
+// abandoned; with lim = +Inf nothing is pruned.
+//
+// The rows and arc tables are re-sliced to exactly dim elements up
+// front so the inner loop runs free of bounds checks, and the builtin
+// min/max are used over math.Min/math.Max — identical semantics for
+// every float64 input (NaN propagation and signed-zero ordering
+// included), but inlined instead of a call.
+func Score(p Params, cosRow, sinRow []float64, group int32, arcs []Arc, lim float64) float64 {
+	dim := p.Dim
+	twoRho := 2 * p.Rho
+	eta := p.Eta
+	cosR, sinR := cosRow[:dim], sinRow[:dim]
 	best := math.Inf(1)
 	for ai := range arcs {
 		pa := &arcs[ai]
@@ -90,9 +114,9 @@ func (e *Engine) scoreLocal(sd *shardData, arcs []Arc, li int, h *topK, gbound *
 		cosE, sinE := pa.CosE[:dim], pa.SinE[:dim]
 		cosC, sinC := pa.CosC[:dim], pa.SinC[:dim]
 		sh := pa.SH[:dim]
-		lim := best
-		if thr < lim {
-			lim = thr
+		bound := best
+		if lim < bound {
+			bound = lim
 		}
 		sum := 0.0
 		pruned := false
@@ -104,7 +128,7 @@ func (e *Engine) scoreLocal(sd *shardData, arcs []Arc, li int, h *topK, gbound *
 			do := halfSin(max(cs, ce)) // min sin == max cos
 			di := min(halfSin(cc), sh[j])
 			sum += twoRho * (do + eta*di)
-			if j%pruneStride == pruneStride-1 && sum > lim {
+			if j%pruneStride == pruneStride-1 && sum > bound {
 				pruned = true
 				break
 			}
@@ -112,19 +136,14 @@ func (e *Engine) scoreLocal(sd *shardData, arcs []Arc, li int, h *topK, gbound *
 		if pruned {
 			continue
 		}
-		if sd.group != nil {
-			if d := 1 - pa.Hot[sd.group[li]]; d > 0 {
-				sum += e.p.Xi * d
+		if p.Xi > 0 {
+			if d := 1 - pa.Hot[group]; d > 0 {
+				sum += p.Xi * d
 			}
 		}
 		if sum < best {
 			best = sum
 		}
 	}
-	if math.IsInf(best, 1) {
-		return
-	}
-	if h.push(best, int32(sd.lo+li)) && h.full() {
-		gbound.Update(h.bound())
-	}
+	return best
 }
