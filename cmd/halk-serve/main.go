@@ -11,8 +11,8 @@
 // -ckpt accepts a checkpoint file or a rotation directory written by
 // halk-train -ckpt-dir; a directory resolves to its newest verified
 // entry. With -ckpt-watch the path is polled and newer checkpoints are
-// hot-reloaded into the running server: verified first, swapped under
-// the ranking lock, sharded snapshot and ANN index rebuilt. A corrupt
+// hot-reloaded into the running server: verified first, published as a
+// new serving view, sharded snapshot and ANN index rebuilt. A corrupt
 // or mismatched candidate is rejected — the server keeps answering
 // from the previous parameters and counts the failure on
 // halk_ckpt_reload_failures_total.
@@ -117,11 +117,9 @@ func main() {
 	if ingestOn && *ckptWatch > 0 {
 		// A hot-reload would swap fine-tuned embeddings for the new
 		// checkpoint's while the ingest WAL still claims its edges are
-		// applied, and its full shard refresh can be suppressed by an
-		// interleaved delta publish that already stamped the new entity
-		// version. Re-base instead: stop the server, clear (or re-point)
+		// applied. Re-base instead: stop the server, clear (or re-point)
 		// -ingest-dir, restart on the new checkpoint.
-		log.Fatal("-ingest-dir and -ckpt-watch are mutually exclusive: a hot-reload would discard fine-tuned state and race delta publication; restart the server to serve a new checkpoint")
+		log.Fatal("-ingest-dir and -ckpt-watch are mutually exclusive: a hot-reload would discard fine-tuned state the WAL counts as applied; restart the server to serve a new checkpoint")
 	}
 
 	var (
@@ -216,7 +214,7 @@ func main() {
 		rcfg := cluster.Config{
 			Ranges: topology,
 			Embed: func(n *query.Node) []cluster.ArcSpec {
-				arcs := m.EmbedQueryLocked(n)
+				arcs := m.EmbedQuery(n)
 				specs := make([]cluster.ArcSpec, len(arcs))
 				for i, a := range arcs {
 					specs[i] = cluster.ArcSpec{C: a.C, L: a.L, Hot: a.Hot}

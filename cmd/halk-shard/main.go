@@ -136,7 +136,7 @@ func main() {
 		Relations: ds.Train.Relations,
 		Graph:     ds.Test,
 		Embed: func(n *query.Node) []cluster.ArcSpec {
-			arcs := m.EmbedQueryLocked(n)
+			arcs := m.EmbedQuery(n)
 			specs := make([]cluster.ArcSpec, len(arcs))
 			for i, a := range arcs {
 				specs[i] = cluster.ArcSpec{C: a.C, L: a.L, Hot: a.Hot}

@@ -39,6 +39,16 @@ func (m *MLP) SetOutputBias(v float64) {
 	}
 }
 
+// View returns the MLP over Tensor.View headers of its weights and
+// biases (see Tensor.View).
+func (m *MLP) View() *MLP {
+	v := &MLP{sizes: m.sizes, weights: make([]*Tensor, len(m.weights)), biases: make([]*Tensor, len(m.biases))}
+	for l := range m.weights {
+		v.weights[l], v.biases[l] = m.weights[l].View(), m.biases[l].View()
+	}
+	return v
+}
+
 // Forward applies the MLP to x on the tape.
 func (m *MLP) Forward(t *Tape, x V) V {
 	h := x

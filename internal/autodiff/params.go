@@ -32,6 +32,14 @@ type Tensor struct {
 // Row returns the i-th row of the tensor's data.
 func (t *Tensor) Row(i int) []float64 { return t.Data[i*t.Cols : (i+1)*t.Cols] }
 
+// View returns a new header over the tensor's current Data and nothing
+// else: a reader that holds it keeps reading these values even after
+// t.Data is replaced by another array. It is for forward-only tapes; it
+// carries no training state.
+func (t *Tensor) View() *Tensor {
+	return &Tensor{Name: t.Name, Rows: t.Rows, Cols: t.Cols, Data: t.Data}
+}
+
 // AddGrad accumulates g into the gradient of row i. It is safe for
 // concurrent use by multiple goroutines.
 func (t *Tensor) AddGrad(i int, g []float64) { t.addGrad(i*t.Cols, g) }

@@ -29,7 +29,7 @@ func testModel(seed int64) (*halk.Model, *kg.Dataset) {
 
 func embedFn(m *halk.Model) func(n *query.Node) []ArcSpec {
 	return func(n *query.Node) []ArcSpec {
-		arcs := m.EmbedQueryLocked(n)
+		arcs := m.EmbedQuery(n)
 		specs := make([]ArcSpec, len(arcs))
 		for i, a := range arcs {
 			specs[i] = ArcSpec{C: a.C, L: a.L, Hot: a.Hot}

@@ -302,8 +302,11 @@ func TestSetTopologySwap(t *testing.T) {
 	}
 
 	// Effective swap: range 0 drops its second replica and gains a fresh
-	// node; range 1 is untouched.
+	// node; range 1 is untouched. The fresh node's health answers fail
+	// until the probation state has been read, so the prober cannot
+	// admit it first.
 	fresh := startNode(t, m, ds, rangeLo(ents, 2, 0), rangeHi(ents, 2, 0), nil)
+	fresh.inj.Set(FaultStageHealth, resil.AnyShard, resil.Fault{Kind: resil.KindError})
 	next := [][]string{
 		{nodes[0][0].addr(), fresh.addr()},
 		{nodes[1][0].addr(), nodes[1][1].addr()},
@@ -327,7 +330,9 @@ func TestSetTopologySwap(t *testing.T) {
 		}
 	}
 
-	// The added replica is correct, so its probe admits it.
+	// The added replica is correct, so once its health answers, its
+	// probe admits it.
+	fresh.inj.Clear()
 	rt.CheckHealth(context.Background())
 	waitFor(t, 2*time.Second, "swap-added replica admission", func() bool {
 		return added.getState() == StateActive

@@ -27,6 +27,11 @@ import (
 // middleware — the chaos matrix drives all three.
 const FaultStageScan = "cluster.node.scan"
 
+// FaultStageHealth is the seam fired once per /v1/healthz request;
+// KindError turns the answer into a 500, which keeps a joining replica
+// in probation for as long as the fault is armed.
+const FaultStageHealth = "cluster.node.health"
+
 // NodeConfig assembles a shard node frontend.
 type NodeConfig struct {
 	// Engine hosts the node's entity range (halk.RangeRanker.Engine()).
@@ -288,6 +293,10 @@ func (n *Node) handleScan(w http.ResponseWriter, r *http.Request) {
 // fails (load balancers take it out of rotation) while the router can
 // still read the full report and sequence its own drain handling.
 func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if err := n.cfg.Faults.Fire(FaultStageHealth, 0); err != nil {
+		fail(w, http.StatusInternalServerError, "injected health fault: %v", err)
+		return
+	}
 	lo, hi := n.cfg.Engine.EntityRange()
 	h := Health{
 		Status:        "ok",

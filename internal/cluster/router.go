@@ -31,7 +31,8 @@ type Config struct {
 	// the whole set is exhausted.
 	Ranges [][]string
 	// Embed turns a query DAG into wire arcs; halk-serve wires the
-	// model's EmbedQueryLocked. Required.
+	// model's EmbedQuery, which reads the served view without a lock.
+	// Required.
 	Embed func(n *query.Node) []ArcSpec
 	// ScanTimeout bounds each scan attempt; an attempt that misses it
 	// fails over to the range's next replica within the query's

@@ -81,6 +81,8 @@ func LoadCheckpointFrom(dec *gob.Decoder, lookup func(hdr CheckpointHeader) (*kg
 		return nil, hdr, err
 	}
 	m := New(g, hdr.Config)
+	// Decoding in place is safe: no reader has seen m yet, and its view
+	// builds its trig tables on first use, after this.
 	if err := m.params.Decode(dec); err != nil {
 		return nil, hdr, fmt.Errorf("%w: parameters: %v", ErrCheckpointCorrupt, err)
 	}
@@ -126,10 +128,10 @@ func LoadCheckpointFile(path string, lookup func(hdr CheckpointHeader) (*kg.Grap
 // ReloadFromFile hot-swaps a newer checkpoint into the live model: the
 // file is verified and decoded into a staging parameter set first, and
 // only if everything — envelope, header identity (dataset, seed,
-// config), every tensor — checks out are the live parameters replaced,
-// atomically with respect to in-flight rankings (under the ranking
-// write-lock, with an entity-version bump so the trig cache, sharded
-// snapshots and answer caches all roll forward). On any error nothing
+// config), every tensor — checks out are the staging arrays installed as
+// the live parameters and published as a new view, so in-flight
+// rankings finish on the view they loaded and sharded snapshots and
+// answer caches roll forward on the version bump. On any error nothing
 // is touched: the model keeps serving the previous parameters.
 func (m *Model) ReloadFromFile(path, wantDataset string, wantSeed int64) (FileInfo, error) {
 	info := FileInfo{Path: path, Step: -1}
@@ -159,15 +161,13 @@ func (m *Model) ReloadFromFile(path, wantDataset string, wantSeed int64) (FileIn
 	}
 	info.Header = hdr
 
-	// Everything verified; install. The write-lock serialises against
-	// in-flight rankings, and the version bump makes every derived
-	// structure (trig cache, shard snapshots via Refresh, cache keys)
-	// observe the change.
-	m.rankMu.Lock()
+	// Everything verified; install the staging arrays themselves, so no
+	// array a published view holds is written.
+	m.mu.Lock()
 	for _, t := range staging.All() {
-		copy(m.params.Get(t.Name).Data, t.Data)
+		m.params.Get(t.Name).Data = t.Data
 	}
-	m.entVersion.Add(1)
-	m.rankMu.Unlock()
+	m.publishLocked(m.net.views(), true)
+	m.mu.Unlock()
 	return info, nil
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/halk-kg/halk/internal/ann"
 	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/query"
+	"github.com/halk-kg/halk/internal/shard"
 )
 
 func TestFastDistancesMatchesReference(t *testing.T) {
@@ -44,9 +45,9 @@ func TestNegativeKReturnsEmpty(t *testing.T) {
 	if got := m.TopK(q, -1); len(got) != 0 {
 		t.Errorf("TopK(k=-1) = %v, want empty", got)
 	}
-	got, err := m.TopKContext(context.Background(), q, -1)
-	if err != nil || len(got) != 0 {
-		t.Errorf("TopKContext(k=-1) = %v, %v; want empty, nil", got, err)
+	d, err := m.DistancesContext(context.Background(), q)
+	if got, _ := shard.LowestK(d, nil, -1); err != nil || len(got) != 0 {
+		t.Errorf("LowestK(DistancesContext, k=-1) = %v, %v; want empty, nil", got, err)
 	}
 	ai := m.NewAnswerIndex(ann.DefaultConfig(50))
 	if got := ai.TopKApprox(q, -1); len(got) != 0 {
@@ -62,8 +63,9 @@ func TestTrigCacheInvalidation(t *testing.T) {
 		t.Fatal("sampling failed")
 	}
 	before := m.Distances(q)
-	// Mutate an entity embedding out of band (as a parameter load would)
-	// and announce it; the version-keyed cache must rebuild.
+	// Mutate an entity embedding out of band (as an optimizer step does)
+	// and announce it; the next ranking must read a new view whose trig
+	// tables are rebuilt.
 	m.ent.Data[0] += 1.0
 	m.MarkEntitiesUpdated()
 	after := m.Distances(q)
@@ -76,7 +78,7 @@ func TestTrigCacheInvalidation(t *testing.T) {
 	}
 	// entity 0's distance must change (its point moved)
 	if before[0] == after[0] && same {
-		t.Error("trig cache served stale tables after entity update")
+		t.Error("ranking served stale trig tables after entity update")
 	}
 	// restore and confirm we get the original values back
 	m.ent.Data[0] -= 1.0
@@ -96,11 +98,11 @@ func TestEntityVersionBumps(t *testing.T) {
 		t.Fatal("fresh model must start at a nonzero entity version")
 	}
 	angles := append([]float64(nil), m.EntityAngles(0)...)
-	if err := m.SetEntityAngles(0, angles); err != nil {
-		t.Fatalf("SetEntityAngles: %v", err)
+	if err := m.SetEntityAnglesBatch([]EntityUpdate{{E: 0, Angles: angles}}); err != nil {
+		t.Fatalf("SetEntityAnglesBatch: %v", err)
 	}
 	if v := m.EntityVersion(); v <= v0 {
-		t.Fatalf("SetEntityAngles did not bump version: %d -> %d", v0, v)
+		t.Fatalf("SetEntityAnglesBatch did not bump version: %d -> %d", v0, v)
 	}
 	v1 := m.EntityVersion()
 	m.MarkEntitiesUpdated()
@@ -110,10 +112,12 @@ func TestEntityVersionBumps(t *testing.T) {
 }
 
 // TestConcurrentRankingAndEntityUpdate exercises the serving scenario of
-// rankings in-flight while the entity table is being patched: run with
-// -race, it fails if the trig cache rewrites tables handed to an
-// in-flight scan (the pre-copy-on-invalidate bug) or if an entity row is
-// read half-written.
+// rankings in flight while the entity table is being patched: run with
+// -race, it fails if a write lands in an array a published view holds.
+// Every view a reader loads must hold a whole row — each update shifts
+// every angle of entity 0 by the same 0.01, so a torn row would show
+// two different shifts — and the final write must be visible to the
+// next ranking.
 func TestConcurrentRankingAndEntityUpdate(t *testing.T) {
 	m, ds := testModel(t, 47)
 	s := query.NewSampler(ds.Train, rand.New(rand.NewSource(48)))
@@ -121,6 +125,7 @@ func TestConcurrentRankingAndEntityUpdate(t *testing.T) {
 	if !ok {
 		t.Fatal("sampling failed")
 	}
+	orig := append([]float64(nil), m.EntityAngles(0)...)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -134,21 +139,28 @@ func TestConcurrentRankingAndEntityUpdate(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := m.TopKContext(context.Background(), q, 5); err != nil {
-					t.Errorf("TopKContext: %v", err)
+				row := m.pub.Load().ent.Row(0)
+				for j := range row {
+					if math.Abs((row[j]-orig[j])-(row[0]-orig[0])) > 1e-9 {
+						t.Errorf("torn entity row: dim %d shifted %v, dim 0 shifted %v", j, row[j]-orig[j], row[0]-orig[0])
+						return
+					}
+				}
+				if _, err := m.DistancesContext(context.Background(), q); err != nil {
+					t.Errorf("DistancesContext: %v", err)
 					return
 				}
 			}
 		}()
 	}
 
-	angles := append([]float64(nil), m.EntityAngles(0)...)
+	angles := append([]float64(nil), orig...)
 	for i := 0; i < 50; i++ {
 		for j := range angles {
 			angles[j] += 0.01
 		}
-		if err := m.SetEntityAngles(0, angles); err != nil {
-			t.Fatalf("SetEntityAngles: %v", err)
+		if err := m.SetEntityAnglesBatch([]EntityUpdate{{E: 0, Angles: angles}}); err != nil {
+			t.Fatalf("SetEntityAnglesBatch: %v", err)
 		}
 	}
 	close(stop)
@@ -160,6 +172,10 @@ func TestConcurrentRankingAndEntityUpdate(t *testing.T) {
 		if got[j] != angles[j] {
 			t.Fatalf("entity 0 angle %d = %v, want %v", j, got[j], angles[j])
 		}
+	}
+	arcs := m.EmbedQuery(q)
+	if d, want := m.Distances(q)[0], m.distanceTo(0, arcs); math.Abs(d-want) > 1e-9 {
+		t.Fatalf("entity 0 distance after the last update = %v, want %v", d, want)
 	}
 }
 
@@ -175,17 +191,17 @@ func TestDistancesContextCancellation(t *testing.T) {
 	if _, err := m.DistancesContext(ctx, q); err != context.Canceled {
 		t.Fatalf("DistancesContext on cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, err := m.TopKContext(context.Background(), q, 3); err != nil {
-		t.Fatalf("TopKContext: %v", err)
+	if _, err := m.DistancesContext(context.Background(), q); err != nil {
+		t.Fatalf("DistancesContext: %v", err)
 	}
 }
 
 func TestSetEntityAnglesValidates(t *testing.T) {
 	m, _ := testModel(t, 53)
-	if err := m.SetEntityAngles(0, make([]float64, m.cfg.Dim+1)); err == nil {
+	if err := m.SetEntityAnglesBatch([]EntityUpdate{{E: 0, Angles: make([]float64, m.cfg.Dim+1)}}); err == nil {
 		t.Error("wrong dimensionality accepted")
 	}
-	if err := m.SetEntityAngles(kg.EntityID(m.graph.NumEntities()), make([]float64, m.cfg.Dim)); err == nil {
+	if err := m.SetEntityAnglesBatch([]EntityUpdate{{E: kg.EntityID(m.graph.NumEntities()), Angles: make([]float64, m.cfg.Dim)}}); err == nil {
 		t.Error("out-of-range entity accepted")
 	}
 }
@@ -194,7 +210,7 @@ func TestFastDistancesSpeed(t *testing.T) {
 	m, ds := testModel(t, 45)
 	s := query.NewSampler(ds.Train, rand.New(rand.NewSource(46)))
 	q, _ := s.Sample("2p")
-	m.Distances(q) // warm the cache
+	m.Distances(q) // warm the view's trig tables
 	start := time.Now()
 	const reps = 20
 	for i := 0; i < reps; i++ {

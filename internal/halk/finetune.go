@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/halk-kg/halk/internal/autodiff"
@@ -29,12 +30,13 @@ import (
 //     the apply loop writes only rows with accumulated gradient, so
 //     "untouched" means byte-identical, not merely "close".
 //
-// Concurrency: the forward/backward phase holds the ranking read-lock
-// (it reads live parameters, racing only checkpoint hot-reloads), and
-// the apply phase holds the write-lock with the entity-version bump in
-// the same critical section as the row writes — a ranking that observes
-// the new version observes the new rows, so version-namespaced caches
-// can never pair post-bump keys with pre-bump answers.
+// Concurrency: the whole step holds the writers' mutex, so no reload or
+// other write lands between the pass that computes the gradients and
+// the apply. The apply writes copies of the entity and relation arrays
+// and publishes them as a new view: rankings in flight keep the view
+// they loaded, and a ranking that observes the new version observes the
+// new rows, so version-namespaced caches can never pair post-bump keys
+// with pre-bump answers.
 
 // FineTuneConfig bounds one streaming fine-tune step.
 type FineTuneConfig struct {
@@ -109,10 +111,10 @@ func (m *Model) FineTuneEdges(added, removed []kg.Triple, cfg FineTuneConfig) (F
 	tape := autodiff.NewTape()
 	edges, lossSum := 0, 0.0
 
-	// Forward + backward under the read lock: the pass reads live
-	// parameters (racing only a checkpoint hot-reload's write-lock) and
-	// accumulates gradients into the tensors' mutex-protected sinks.
-	m.rankMu.RLock()
+	// Forward + backward over the live parameters, accumulating
+	// gradients into the tensors' mutex-protected sinks.
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, tr := range added {
 		node := query.NewProjection(tr.R, query.NewAnchor(tr.H))
 		answers := query.NewSet(m.graph.Successors(tr.H, tr.R)...)
@@ -152,14 +154,13 @@ func (m *Model) FineTuneEdges(added, removed []kg.Triple, cfg FineTuneConfig) (F
 		dirtyEnt[tr.T] = struct{}{}
 		dirtyRel[tr.R] = struct{}{}
 	}
-	m.rankMu.RUnlock()
 
 	res := FineTuneResult{Edges: edges}
 	if edges == 0 {
 		// Nothing contributed gradient; clear any stray accumulation and
 		// leave the version untouched (no rebuilds, no cache invalidation).
 		m.params.ZeroGrad()
-		res.Version = m.EntityVersion()
+		res.Version = m.pub.Load().version
 		return res, nil
 	}
 	res.Loss = lossSum / float64(edges)
@@ -174,29 +175,30 @@ func (m *Model) FineTuneEdges(added, removed []kg.Triple, cfg FineTuneConfig) (F
 	}
 	sort.Slice(res.DirtyRelations, func(i, j int) bool { return res.DirtyRelations[i] < res.DirtyRelations[j] })
 
-	// Apply: write-lock so no ranking observes a half-applied batch, and
-	// bump the version inside the same critical section as the writes.
-	m.rankMu.Lock()
+	// Apply to copies of the arrays, so no published view is written and
+	// no ranking observes a half-applied batch, then publish them.
+	ent, relC, relL := slices.Clone(m.ent.Data), slices.Clone(m.relC.Data), slices.Clone(m.relL.Data)
 	for _, e := range res.DirtyEntities {
-		applyRowSGD(m.ent, int(e), cfg.LR, cfg.MaxStep)
+		applyRowSGD(m.ent, ent, int(e), cfg.LR, cfg.MaxStep)
 	}
 	for _, r := range res.DirtyRelations {
-		applyRowSGD(m.relC, int(r), cfg.LR, cfg.MaxStep)
-		applyRowSGD(m.relL, int(r), cfg.LR, cfg.MaxStep)
+		applyRowSGD(m.relC, relC, int(r), cfg.LR, cfg.MaxStep)
+		applyRowSGD(m.relL, relL, int(r), cfg.LR, cfg.MaxStep)
 	}
+	m.ent.Data, m.relC.Data, m.relL.Data = ent, relC, relL
 	// The MLP heads' gradients (and any row we chose not to step) are
 	// discarded: fine-tune moves embeddings only.
 	m.params.ZeroGrad()
-	res.Version = m.entVersion.Add(1)
-	m.rankMu.Unlock()
+	res.Version = m.publishLocked(m.net.views(), false).version
 	return res, nil
 }
 
-// applyRowSGD steps one tensor row against its accumulated gradient,
-// capping the update's L2 norm at maxStep. Rows with zero gradient are
-// left byte-identical (no multiply-by-zero rewrite), as is a tensor no
-// backward pass has reached yet (Grad is allocated on first use).
-func applyRowSGD(t *autodiff.Tensor, row int, lr, maxStep float64) {
+// applyRowSGD steps one row of data, a copy of t's values, against t's
+// accumulated gradient, capping the update's L2 norm at maxStep. Rows
+// with zero gradient are left byte-identical (no multiply-by-zero
+// rewrite), as is a tensor no backward pass has reached yet (Grad is
+// allocated on first use).
+func applyRowSGD(t *autodiff.Tensor, data []float64, row int, lr, maxStep float64) {
 	if t.Grad == nil {
 		return
 	}
@@ -213,7 +215,7 @@ func applyRowSGD(t *autodiff.Tensor, row int, lr, maxStep float64) {
 	if step := lr * math.Sqrt(norm); step > maxStep {
 		scale = maxStep / math.Sqrt(norm)
 	}
-	data := t.Data[row*cols : (row+1)*cols]
+	data = data[row*cols : (row+1)*cols]
 	for j, g := range grad {
 		data[j] -= scale * g
 	}

@@ -276,7 +276,7 @@ func TestSetEntityAnglesRankVisibility(t *testing.T) {
 		for j := range angles {
 			angles[j] = float64(i%6) + float64(j)*0.01
 		}
-		if err := m.SetEntityAngles(tr.T, angles); err != nil {
+		if err := m.SetEntityAnglesBatch([]EntityUpdate{{E: tr.T, Angles: angles}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.SetEntityAnglesBatch([]EntityUpdate{{E: tr.H, Angles: angles}}); err != nil {
@@ -317,7 +317,7 @@ func TestTrainingStateAllocatedOnFirstUse(t *testing.T) {
 	if neg.Grad != nil || neg.M != nil {
 		t.Fatal("a tensor no gradient reached was given training state")
 	}
-	applyRowSGD(neg, 0, 0.1, 1) // nil Grad: nothing to step against
+	applyRowSGD(neg, neg.Data, 0, 0.1, 1) // nil Grad: nothing to step against
 	for i, v := range neg.Data {
 		if v != negBefore[i] {
 			t.Fatalf("neg.center.w0[%d] moved without a gradient", i)

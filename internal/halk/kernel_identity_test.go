@@ -318,12 +318,11 @@ func TestKernelIdentityForwardTape(t *testing.T) {
 			go func(g int) {
 				defer readers.Done()
 				for i := g; i < len(queries); i += 8 {
-					// The version is read under the same read-lock hold as
-					// the embed, exactly as the serving callers embed.
-					m.rankMu.RLock()
-					ver := m.EntityVersion()
-					got := m.EmbedQuery(queries[i])
-					m.rankMu.RUnlock()
+					// The version and the embed come from one view,
+					// exactly as the serving callers embed.
+					v := m.pub.Load()
+					ver := v.version
+					got := v.embedQuery(queries[i])
 					sameValueArcs(t, labels[i]+" (concurrent)", got, refs[(ver-base)%2][i])
 				}
 			}(g)

@@ -20,12 +20,13 @@ type Arc struct {
 	Hot []float64
 }
 
-// Model is the HaLk arc-embedding model over one training graph.
-type Model struct {
+// net is the operator network the embedding and scoring code reads: the
+// configuration, the grouping and the parameter tensors. The trainable
+// Model holds the live tensors; every published view holds its own
+// headers over the arrays it was published with (see view).
+type net struct {
 	cfg    Config
-	graph  *kg.Graph
 	groups *kg.Grouping
-	params *autodiff.Params
 
 	ent  *autodiff.Tensor // entity point angles, n × d
 	relC *autodiff.Tensor // relation rotation angles, m × d
@@ -41,21 +42,37 @@ type Model struct {
 	diffInner, diffOut   *autodiff.MLP    // Eq. 9 DeepSets on [δ_c ‖ δ_l]
 	negT1, negT2         *autodiff.MLP    // Eq. 14 intermediate heads
 	negC, negA           *autodiff.MLP    // Eq. 14 output heads
+}
 
-	trig trigCache // entity cos/sin memo for online ranking
+// views returns the network over fresh headers of its tensors' current
+// arrays (autodiff.Tensor.View), for a view to publish.
+func (n *net) views() net {
+	return net{
+		cfg: n.cfg, groups: n.groups,
+		ent: n.ent.View(), relC: n.relC.View(), relL: n.relL.View(),
+		projC: n.projC.View(), projA: n.projA.View(), projV3: n.projV3.View(),
+		interAtt: n.interAtt.View(), interInner: n.interInner.View(), interOut: n.interOut.View(),
+		diffAtt: n.diffAtt.View(), diffKappa: n.diffKappa.View(),
+		diffInner: n.diffInner.View(), diffOut: n.diffOut.View(),
+		negT1: n.negT1.View(), negT2: n.negT2.View(), negC: n.negC.View(), negA: n.negA.View(),
+	}
+}
 
-	// entVersion is the monotonic version of the entity table: it starts
-	// at 1 and is bumped by SetEntityAngles, by every training-loss build
-	// (the steps that mutate embeddings), and by MarkEntitiesUpdated.
-	// The trig cache and the sharded ranking engine compare it instead of
-	// fingerprinting the table, so staleness detection is O(1) per query.
-	entVersion atomic.Uint64
+// Model is the HaLk arc-embedding model over one training graph. Its
+// own tensors belong to training, fine-tune and reload; online reads go
+// through the published view (see view in online.go).
+type Model struct {
+	net
+	graph  *kg.Graph
+	params *autodiff.Params
 
-	// rankMu serialises online ranking (read side) against the
-	// thread-safe entity-table updates of SetEntityAngles (write side).
-	// The training loop does not take it — training and serving on the
-	// same Model instance still need external coordination.
-	rankMu sync.RWMutex
+	// mu serialises the writers: fine-tune, reload, SetEntityAnglesBatch,
+	// MarkEntitiesUpdated and the training loss's version bump. The
+	// training loop's optimizer writes the arrays in place without it —
+	// training and serving on the same Model instance still need
+	// external coordination.
+	mu  sync.Mutex
+	pub atomic.Pointer[view] // the current serving view; never nil
 }
 
 var _ model.Interface = (*Model)(nil)
@@ -67,11 +84,10 @@ func New(g *kg.Graph, cfg Config) *Model {
 	p := autodiff.NewParams()
 	d, h := cfg.Dim, cfg.Hidden
 
-	m := &Model{
+	m := &Model{graph: g, params: p}
+	m.net = net{
 		cfg:    cfg,
-		graph:  g,
 		groups: kg.NewGrouping(g, cfg.NumGroups, rng),
-		params: p,
 
 		ent:  p.NewUniform("entity", g.NumEntities(), d, 0, geometry.TwoPi, rng),
 		relC: p.NewUniform("relation.center", g.NumRelations(), d, 0, geometry.TwoPi, rng),
@@ -100,22 +116,9 @@ func New(g *kg.Graph, cfg Config) *Model {
 	// length head is residual around the rotated length and needs no
 	// bias steering.
 	m.projV3.SetOutputBias(-2)
-	m.entVersion.Store(1)
+	m.pub.Store(&view{net: m.net.views(), version: 1, rebuilt: 1})
 	return m
 }
-
-// EntityVersion returns the monotonic version of the entity table; any
-// change to entity embeddings is preceded or followed by a bump, so
-// equal versions imply equal tables. Consumers (trig cache, sharded
-// engine snapshots, serving answer caches) compare versions instead of
-// hashing the table.
-func (m *Model) EntityVersion() uint64 { return m.entVersion.Load() }
-
-// MarkEntitiesUpdated bumps the entity version after an out-of-band
-// mutation of the entity table (e.g. loading parameters in place, or a
-// test poking rows directly). SetEntityAngles and the training loss
-// bump it automatically.
-func (m *Model) MarkEntitiesUpdated() { m.entVersion.Add(1) }
 
 // Name implements model.Interface; ablation variants report their
 // Table V name.
@@ -139,7 +142,7 @@ func (m *Model) Supports(string) bool { return true }
 
 // g applies the range regulator of Eq. 3: [g(x)]_i = π·tanh(λ·x_i) + π,
 // mapping ℝ into (0, 2π).
-func (m *Model) g(t *autodiff.Tape, x autodiff.V) autodiff.V {
+func (m *net) g(t *autodiff.Tape, x autodiff.V) autodiff.V {
 	return t.AddScalar(t.Scale(t.Tanh(t.Scale(x, m.cfg.Lambda)), mathPi), mathPi)
 }
 
@@ -148,13 +151,13 @@ var centerCorrectionAmp = mathPi
 
 // gResidual is the zero-centered counterpart of g: amp·tanh(λ·x), a
 // bounded correction added on top of an identity-carrying term.
-func (m *Model) gResidual(t *autodiff.Tape, x autodiff.V) autodiff.V {
+func (m *net) gResidual(t *autodiff.Tape, x autodiff.V) autodiff.V {
 	return t.Scale(t.Tanh(t.Scale(x, m.cfg.Lambda)), centerCorrectionAmp)
 }
 
 // clampAngle regulates an arc angle into [0, 2π] with exact identity in
 // range: max(0, min(x, 2π)).
-func (m *Model) clampAngle(t *autodiff.Tape, x autodiff.V) autodiff.V {
+func (m *net) clampAngle(t *autodiff.Tape, x autodiff.V) autodiff.V {
 	two := make([]float64, x.Len())
 	for i := range two {
 		two[i] = geometry.TwoPi
@@ -166,11 +169,11 @@ const mathPi = 3.141592653589793
 
 // startEnd computes the start and end points of an arc (Definitions 1
 // and 2): A_S = A_c − A_l/(2ρ), A_E = A_c + A_l/(2ρ).
-func (m *Model) startEnd(t *autodiff.Tape, c, l autodiff.V) (s, e autodiff.V) {
+func (m *net) startEnd(t *autodiff.Tape, c, l autodiff.V) (s, e autodiff.V) {
 	half := t.Scale(l, 1/(2*m.cfg.Rho))
 	return t.Sub(c, half), t.Add(c, half)
 }
 
-// EntityAngles returns the current point embedding (angle vector) of e.
-// The slice aliases model parameters and must not be modified.
-func (m *Model) EntityAngles(e kg.EntityID) []float64 { return m.ent.Row(int(e)) }
+// EntityAngles returns the served point embedding (angle vector) of e.
+// The slice aliases the published table and must not be modified.
+func (m *Model) EntityAngles(e kg.EntityID) []float64 { return m.pub.Load().ent.Row(int(e)) }

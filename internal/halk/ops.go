@@ -11,7 +11,7 @@ import (
 // (Alg. 1 lines 5–15). Union queries must be rewritten with query.DNF
 // first; Embed panics on a union node, because HaLk's union operator is
 // exact and non-parametric (Sec. III-F).
-func (m *Model) Embed(t *autodiff.Tape, n *query.Node) Arc {
+func (m *net) Embed(t *autodiff.Tape, n *query.Node) Arc {
 	switch n.Op {
 	case query.OpAnchor:
 		return Arc{
@@ -33,7 +33,7 @@ func (m *Model) Embed(t *autodiff.Tape, n *query.Node) Arc {
 	panic("halk: Embed: unknown op")
 }
 
-func (m *Model) embedAll(t *autodiff.Tape, ns []*query.Node) []Arc {
+func (m *net) embedAll(t *autodiff.Tape, ns []*query.Node) []Arc {
 	arcs := make([]Arc, len(ns))
 	for i, n := range ns {
 		arcs[i] = m.Embed(t, n)
@@ -47,7 +47,7 @@ func (m *Model) embedAll(t *autodiff.Tape, ns []*query.Node) []Arc {
 // and cardinality (Eq. 2), closing the "semantic gap" of decoupled
 // models. Ablation V3 keeps the rotation for the center but learns the
 // length from the length alone, reproducing NewLook's decoupling.
-func (m *Model) project(t *autodiff.Tape, in Arc, n *query.Node) Arc {
+func (m *net) project(t *autodiff.Tape, in Arc, n *query.Node) Arc {
 	rc := m.relC.Leaf(t, int(n.Rel))
 	rl := m.relL.Leaf(t, int(n.Rel))
 	tc := t.Add(in.C, rc)
@@ -77,7 +77,7 @@ func (m *Model) project(t *autodiff.Tape, in Arc, n *query.Node) Arc {
 // averaged with the given elementwise weights, and mapped back to a polar
 // angle with Reg (atan2 + wrap), which sidesteps the periodicity of raw
 // angle averaging.
-func (m *Model) semanticCenter(t *autodiff.Tape, arcs []Arc, w []autodiff.V) autodiff.V {
+func (m *net) semanticCenter(t *autodiff.Tape, arcs []Arc, w []autodiff.V) autodiff.V {
 	rho := m.cfg.Rho
 	var xsa, ysa autodiff.V
 	for i, a := range arcs {
@@ -103,7 +103,7 @@ func (m *Model) semanticCenter(t *autodiff.Tape, arcs []Arc, w []autodiff.V) aut
 
 // attScores runs the attention MLP of Eq. 7 / Eq. 10 on the start/end
 // combination representation of each arc.
-func attScores(t *autodiff.Tape, m *Model, mlp *autodiff.MLP, arcs []Arc) []autodiff.V {
+func attScores(t *autodiff.Tape, m *net, mlp *autodiff.MLP, arcs []Arc) []autodiff.V {
 	out := make([]autodiff.V, len(arcs))
 	for i, a := range arcs {
 		s, e := m.startEnd(t, a.C, a.L)
@@ -116,7 +116,7 @@ func attScores(t *autodiff.Tape, m *Model, mlp *autodiff.MLP, arcs []Arc) []auto
 // average center with group-similarity-scaled attention, and arclengths
 // bounded by the smallest input (cardinality constraint) scaled by a
 // permutation-invariant DeepSets factor.
-func (m *Model) intersect(t *autodiff.Tape, arcs []Arc) Arc {
+func (m *net) intersect(t *autodiff.Tape, arcs []Arc) Arc {
 	hots := make([][]float64, len(arcs))
 	for i, a := range arcs {
 		hots[i] = a.Hot
@@ -154,7 +154,7 @@ func (m *Model) intersect(t *autodiff.Tape, arcs []Arc) Arc {
 // Ablation V1 reproduces NewLook's overlap: the raw (periodicity-blind)
 // angle difference replaces the chord, and the output length is learned
 // freely instead of being bounded by the minuend.
-func (m *Model) difference(t *autodiff.Tape, arcs []Arc) Arc {
+func (m *net) difference(t *autodiff.Tape, arcs []Arc) Arc {
 	kappa1 := m.diffKappa.Leaf(t, 0)
 	kappaR := m.diffKappa.Leaf(t, 1)
 	scores := attScores(t, m, m.diffAtt, arcs)
@@ -198,7 +198,7 @@ func (m *Model) difference(t *autodiff.Tape, arcs []Arc) Arc {
 // network refines it, correcting cascading errors from earlier
 // sub-queries. Ablation V2 stops at the linear complement, the
 // assumption shared by BetaE, ConE and MLPMix.
-func (m *Model) negate(t *autodiff.Tape, in Arc) Arc {
+func (m *net) negate(t *autodiff.Tape, in Arc) Arc {
 	// Piecewise-constant ±π shift per dimension (Eq. 13); as a constant
 	// offset it passes gradients through unchanged.
 	shift := make([]float64, in.C.Len())

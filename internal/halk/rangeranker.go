@@ -45,11 +45,7 @@ func (r *RangeRanker) Range() (lo, hi int) { return r.lo, r.hi }
 // with.
 func (m *Model) ShardParams() shard.Params { return m.shardParams() }
 
-// EmbedQueryLocked is EmbedQuery under the ranking read-lock: safe to
-// call concurrently with SetEntityAngles and checkpoint hot-reloads.
-// The cluster router and node query frontends embed through it.
-func (m *Model) EmbedQueryLocked(n *query.Node) []ValueArc {
-	m.rankMu.RLock()
-	defer m.rankMu.RUnlock()
-	return m.EmbedQuery(n)
-}
+// EmbedQueryLocked forwards to EmbedQuery, which reads the published
+// view without a lock. It is kept only because the benchmark harness in
+// benchmark/, which stays fixed between its revisions, calls it.
+func (m *Model) EmbedQueryLocked(n *query.Node) []ValueArc { return m.EmbedQuery(n) }

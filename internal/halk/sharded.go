@@ -3,6 +3,8 @@ package halk
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/halk-kg/halk/internal/autodiff"
@@ -16,13 +18,14 @@ import (
 // engine instead of the single-threaded full scan: the entity table is
 // partitioned into contiguous-ID shards, each scanned concurrently with a
 // bounded top-K heap, and the per-shard winners are merged. Results are
-// byte-identical to Model.TopK for the same snapshot.
+// byte-identical to Model.TopK for the same view.
 //
 // The ranker holds versioned immutable snapshots of the entity table
-// (see shard.Engine): queries rank against the snapshot current when
-// they start, and Refresh publishes a new one atomically after entity
-// updates. Build one with Model.NewShardedRanker after training and call
-// Refresh whenever EntityVersion has moved.
+// (see shard.Engine), each built from one published view of the model,
+// and embeds every query on the view its snapshot was built from, so an
+// answer's Result.Version names the one view it was computed on.
+// Refresh publishes a snapshot of the model's current view; call it
+// whenever EntityVersion has moved.
 //
 // The engine hosts the contiguous global entity ID range [lo, hi): the
 // whole table for NewShardedRanker, one node's slice for NewRangeRanker
@@ -31,6 +34,11 @@ type ShardedRanker struct {
 	m      *Model
 	eng    *shard.Engine
 	lo, hi int
+
+	// mu serialises refreshes, the only swaps of eng, and pub is the view
+	// eng's snapshot was built from.
+	mu  sync.Mutex
+	pub atomic.Pointer[view]
 }
 
 // NewShardedRanker builds a sharded ranking engine over the model's
@@ -40,8 +48,8 @@ func (m *Model) NewShardedRanker(opts shard.Options) (*ShardedRanker, error) {
 	return m.NewRangeRanker(0, m.graph.NumEntities(), opts)
 }
 
-// Refresh publishes a fresh snapshot of the entity table if its version
-// has moved past the engine's current snapshot. Safe to call
+// Refresh publishes a snapshot of the model's current view if its
+// version has moved past the engine's snapshot. Safe to call
 // concurrently with ranking: in-flight queries finish on the snapshot
 // they started with. Returns nil without work when already current.
 func (r *ShardedRanker) Refresh() error {
@@ -57,9 +65,10 @@ func (r *ShardedRanker) Refresh() error {
 // against its own slice. The published result is byte-identical to a
 // full Refresh — the savings are build cost (trig tables only for
 // touched shards), not served answers. An empty dirty set still
-// republishes the new version. The dirty contract is the caller's: an
-// entity whose row changed but is not listed would be served from a
-// stale shard.
+// republishes the new version. When the view changed in a way no dirty
+// list describes since the engine's snapshot (a reload, a training step,
+// SetEntityAnglesBatch, MarkEntitiesUpdated), every shard is rebuilt.
+// Rows changed by fine-tunes since the snapshot must all be listed.
 func (r *ShardedRanker) RefreshDirty(dirty []kg.EntityID) error {
 	d := make([]int32, len(dirty))
 	for i, e := range dirty {
@@ -69,50 +78,40 @@ func (r *ShardedRanker) RefreshDirty(dirty []kg.EntityID) error {
 }
 
 func (r *ShardedRanker) refresh(dirty []int32) error {
-	ver := r.m.EntityVersion()
-	if ver <= r.eng.Version() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v := r.m.pub.Load()
+	if v.version <= r.eng.Version() {
 		return nil
 	}
-	d := r.m.cfg.Dim
-	// Copy the hosted rows under the ranking read-lock so no row is
-	// observed half-written by a concurrent SetEntityAngles.
-	r.m.rankMu.RLock()
-	angles := append([]float64(nil), r.m.ent.Data[r.lo*d:r.hi*d]...)
-	// Re-read the version while still holding the lock: if an update
-	// raced in between the first load and the lock, the copy may already
-	// contain it — stamping the later version is correct either way
-	// because the copy is at least as new as `ver`.
-	newVer := r.m.EntityVersion()
-	if dirty != nil && newVer != ver {
-		// The racing update's touched rows are in the copy but not in the
-		// caller's dirty set, so the delta contract no longer holds. Fall
-		// back to a full rebuild for this publish.
+	if v.rebuilt > r.eng.Version() {
 		dirty = nil
 	}
-	ver = newVer
-	r.m.rankMu.RUnlock()
-
 	group := make([]int32, r.hi-r.lo)
 	for e := r.lo; e < r.hi; e++ {
-		group[e-r.lo] = int32(r.m.groups.GroupOf(kg.EntityID(e)))
+		group[e-r.lo] = int32(v.groups.GroupOf(kg.EntityID(e)))
 	}
-	return r.eng.Swap(shard.Source{Angles: angles, Group: group, Version: ver, Base: r.lo, Dirty: dirty})
+	d := v.cfg.Dim
+	src := shard.Source{Angles: v.ent.Data[r.lo*d : r.hi*d], Group: group, Version: v.version, Base: r.lo, Dirty: dirty}
+	if err := r.eng.Swap(src); err != nil {
+		return err
+	}
+	r.pub.Store(v)
+	return nil
 }
 
 // RankTopK embeds the query and ranks the k best answers through the
-// shard engine. Embedding takes the model's ranking read-lock (it reads
-// live parameters); the scan itself runs lock-free against the current
-// snapshot. Per-shard deadlines may yield a partial result — see
-// shard.Result.
+// shard engine, both on the current snapshot's view. Per-shard deadlines
+// may yield a partial result — see shard.Result.
 func (r *ShardedRanker) RankTopK(ctx context.Context, n *query.Node, k int) (*shard.Result, error) {
-	begin := time.Now()
-	arcs := r.prepareBatch([]*query.Node{n}, []int{k})[0].Arcs
-	obs.FromContext(ctx).Observe(obs.StagePrepareArcs, time.Since(begin))
-	return r.eng.TopK(ctx, arcs, k)
+	res, err := r.RankBatch(ctx, []*query.Node{n}, []int{k})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
-// RankBatch embeds and ranks many queries in one shard gather: all
-// queries are prepared under a single ranking read-lock, then every
+// RankBatch embeds and ranks many queries in one shard gather: every
 // shard runs one scan that sweeps the whole batch through each entity
 // block in turn (see shard.Engine.RankBatch). ks[i] is query i's K;
 // len(ks) must equal len(roots). Each returned Result is bit-identical
@@ -122,23 +121,28 @@ func (r *ShardedRanker) RankBatch(ctx context.Context, roots []*query.Node, ks [
 	if len(roots) != len(ks) {
 		return nil, fmt.Errorf("halk: RankBatch got %d queries but %d k values", len(roots), len(ks))
 	}
-	begin := time.Now()
-	items := r.prepareBatch(roots, ks)
-	obs.FromContext(ctx).Observe(obs.StagePrepareArcs, time.Since(begin))
-	return r.eng.RankBatch(ctx, items)
+	for {
+		begin := time.Now()
+		v := r.pub.Load()
+		items := v.prepareBatch(roots, ks)
+		obs.FromContext(ctx).Observe(obs.StagePrepareArcs, time.Since(begin))
+		res, err := r.eng.RankBatch(ctx, items)
+		// A refresh that swapped the snapshot between the load and the
+		// scan leaves the arcs from the previous view: embed again.
+		if err != nil || res[0].Version == v.version {
+			return res, err
+		}
+	}
 }
 
-// prepareBatch embeds and prepares every query of a batch (RankTopK's
-// is a batch of one) under one ranking read-lock and on one forward
+// prepareBatch embeds and prepares every query of a batch on one forward
 // tape, reset between queries.
-func (r *ShardedRanker) prepareBatch(roots []*query.Node, ks []int) []shard.BatchItem {
+func (v *view) prepareBatch(roots []*query.Node, ks []int) []shard.BatchItem {
 	t := forwardTapes.Get().(*autodiff.Tape)
 	defer putForwardTape(t)
-	r.m.rankMu.RLock()
-	defer r.m.rankMu.RUnlock()
 	items := make([]shard.BatchItem, len(roots))
 	for i, n := range roots {
-		items[i] = shard.BatchItem{Arcs: r.m.prepareQuery(t, n), K: ks[i]}
+		items[i] = shard.BatchItem{Arcs: v.prepareQuery(t, n), K: ks[i]}
 		t.Reset()
 	}
 	return items

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"github.com/halk-kg/halk/internal/kg"
@@ -88,8 +89,8 @@ func TestShardedRankerRefresh(t *testing.T) {
 	for j := range angles {
 		angles[j] += 2.5
 	}
-	if err := m.SetEntityAngles(moved, angles); err != nil {
-		t.Fatalf("SetEntityAngles: %v", err)
+	if err := m.SetEntityAnglesBatch([]EntityUpdate{{E: moved, Angles: angles}}); err != nil {
+		t.Fatalf("SetEntityAnglesBatch: %v", err)
 	}
 	stale, err := r.RankTopK(context.Background(), q, 5)
 	if err != nil {
@@ -181,5 +182,82 @@ func TestShardedRankerRefreshDirty(t *testing.T) {
 	}
 	if r.SnapshotVersion() != v1 {
 		t.Fatal("RefreshDirty without entity updates rebuilt the snapshot")
+	}
+}
+
+// TestReloadBetweenFineTuneAndDeltaPublish: a checkpoint reload that
+// lands between a fine-tune and the delta publish of the fine-tune's
+// dirty set changes rows that set does not list. The publish must see
+// that and rebuild every shard, so that no row is left stale under a
+// snapshot stamped with the model's current version (which a later
+// Refresh would then skip).
+func TestReloadBetweenFineTuneAndDeltaPublish(t *testing.T) {
+	m, ds := testModel(t, 71)
+	n, d := m.graph.NumEntities(), m.cfg.Dim
+	orig := make([]EntityUpdate, n)
+	shifted := make([]EntityUpdate, n)
+	for e := range orig {
+		row := append([]float64(nil), m.EntityAngles(kg.EntityID(e))...)
+		moved := make([]float64, d)
+		for j := range moved {
+			moved[j] = math.Mod(row[j]+0.5, 2*math.Pi)
+		}
+		orig[e] = EntityUpdate{E: kg.EntityID(e), Angles: row}
+		shifted[e] = EntityUpdate{E: kg.EntityID(e), Angles: moved}
+	}
+	// The checkpoint's table differs from the served one in every row.
+	path := filepath.Join(t.TempDir(), "m.ckpt")
+	if err := m.SetEntityAnglesBatch(shifted); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteCheckpointFile(path, "FB237", 71); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetEntityAnglesBatch(orig); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := m.NewShardedRanker(shard.Options{Shards: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ft, err := m.FineTuneEdges([]kg.Triple{pickNonEdge(t, m.Graph(), 72)}, nil, FineTuneConfig{Seed: 7})
+	if err != nil || len(ft.DirtyEntities) == 0 {
+		t.Fatalf("FineTuneEdges: %d dirty entities, err %v", len(ft.DirtyEntities), err)
+	}
+	if _, err := m.ReloadFromFile(path, "FB237", 71); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RefreshDirty(ft.DirtyEntities); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if r.SnapshotVersion() != m.EntityVersion() {
+		t.Fatalf("snapshot version %d, model version %d", r.SnapshotVersion(), m.EntityVersion())
+	}
+
+	s := query.NewSampler(ds.Train, rand.New(rand.NewSource(73)))
+	for _, structure := range []string{"1p", "2i", "pin"} {
+		q, ok := s.Sample(structure)
+		if !ok {
+			t.Fatalf("sampling %s failed", structure)
+		}
+		res, err := r.RankTopK(context.Background(), q, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist := m.Distances(q)
+		stale := 0
+		for i, e := range res.IDs {
+			if math.Float64bits(res.Dists[i]) != math.Float64bits(dist[e]) {
+				stale++
+			}
+		}
+		if stale > 0 || len(res.IDs) != n {
+			t.Fatalf("%s: %d of %d ranked distances differ from Distances (%d ranked)", structure, stale, n, len(res.IDs))
+		}
 	}
 }

@@ -227,8 +227,8 @@ func TestCacheNeverServedAcrossBump(t *testing.T) {
 	for i := range angles {
 		angles[i] += 0.01
 	}
-	bump("SetEntityAngles", func() {
-		if err := m.SetEntityAngles(12, angles); err != nil {
+	bump("SetEntityAnglesBatch (first)", func() {
+		if err := m.SetEntityAnglesBatch([]halk.EntityUpdate{{E: 12, Angles: angles}}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/model"
 	"github.com/halk-kg/halk/internal/obs"
 	"github.com/halk-kg/halk/internal/query"
@@ -18,8 +17,8 @@ import (
 type fullScan struct{ m model.Interface }
 
 // RankTopK scores every entity and selects the k lowest distances, most
-// likely answers first, with the same tie-breaking as halk.Model.TopK
-// (first index wins), so served answers match the offline CLI exactly.
+// likely answers first, in the (distance, ID) order of halk.Model.TopK
+// and the shard engine, so served answers match the offline CLI exactly.
 func (f fullScan) RankTopK(ctx context.Context, n *query.Node, k int) (*shard.Result, error) {
 	begin := time.Now()
 	var d []float64
@@ -35,25 +34,8 @@ func (f fullScan) RankTopK(ctx context.Context, n *query.Node, k int) (*shard.Re
 	} else {
 		d = f.m.Distances(n)
 	}
-	if k > len(d) {
-		k = len(d)
-	}
-	idx := make([]kg.EntityID, len(d))
-	for i := range idx {
-		idx[i] = kg.EntityID(i)
-	}
-	res := &shard.Result{Version: f.SnapshotVersion(), Dists: make([]float64, k)}
-	for i := 0; i < k; i++ {
-		min := i
-		for j := i + 1; j < len(idx); j++ {
-			if d[idx[j]] < d[idx[min]] {
-				min = j
-			}
-		}
-		idx[i], idx[min] = idx[min], idx[i]
-		res.Dists[i] = d[idx[i]]
-	}
-	res.IDs = idx[:k:k] // the selected prefix; the Result does not outlive labelling
+	res := &shard.Result{Version: f.SnapshotVersion()}
+	res.IDs, res.Dists = shard.LowestK(d, nil, k)
 	obs.FromContext(ctx).Observe(obs.StageRankScan, time.Since(begin))
 	return res, nil
 }

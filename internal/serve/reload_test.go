@@ -17,7 +17,7 @@ import (
 
 // TestCheckpointHotReloadEndToEnd drives the full -ckpt-watch sequence
 // halk-serve runs, against a live server: a newer checkpoint is
-// verified, swapped under the ranking lock, the sharded snapshot
+// verified, published as a new serving view, the sharded snapshot
 // refreshed and the freshness status updated — old cached answers
 // become unreachable. A corrupt candidate afterwards is rejected: the
 // failure counter increments and the server keeps answering from the

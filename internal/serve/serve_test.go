@@ -363,8 +363,8 @@ func TestConcurrentServingDuringEntityUpdate(t *testing.T) {
 		for j := range angles {
 			angles[j] += 0.05
 		}
-		if err := m.SetEntityAngles(kg.EntityID(i%ds.Train.NumEntities()), angles); err != nil {
-			t.Errorf("SetEntityAngles: %v", err)
+		if err := m.SetEntityAnglesBatch([]halk.EntityUpdate{{E: kg.EntityID(i % ds.Train.NumEntities()), Angles: angles}}); err != nil {
+			t.Errorf("SetEntityAnglesBatch: %v", err)
 			break
 		}
 		srv.FlushCache()

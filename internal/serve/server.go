@@ -66,8 +66,8 @@ type Ranker interface {
 
 // EntityVersioner is the optional model upgrade that lets the answer
 // cache key entries by entity-table version, so an embedding update
-// (e.g. halk.Model.SetEntityAngles) implicitly invalidates every cached
-// answer computed from the old table. halk.Model implements it; for
+// (e.g. halk.Model.SetEntityAnglesBatch) implicitly invalidates every
+// cached answer computed from the old table. halk.Model implements it; for
 // models that don't, the cache falls back to version 0 and FlushCache
 // remains the only invalidation.
 type EntityVersioner interface {

@@ -42,8 +42,8 @@ func TestStaleAnswersNotServedAfterEntityUpdate(t *testing.T) {
 	for j := range angles {
 		angles[j] += 2.5
 	}
-	if err := m.SetEntityAngles(moved, angles); err != nil {
-		t.Fatalf("SetEntityAngles: %v", err)
+	if err := m.SetEntityAnglesBatch([]halk.EntityUpdate{{E: moved, Angles: angles}}); err != nil {
+		t.Fatalf("SetEntityAnglesBatch: %v", err)
 	}
 
 	fresh, code := postQuery(t, ts, req)
@@ -257,5 +257,48 @@ func TestDeadlinePartialEndToEnd(t *testing.T) {
 	}
 	if skips < 2 {
 		t.Fatalf("shard 1 skips = %d, want >= 2", skips)
+	}
+}
+
+// TestTiedDistancesRankInIDOrder: with the group penalty off (Xi = 0),
+// entities that share one angle row score the same bits, and every
+// exact ranker must order them by ID — Model.TopK, the default full-scan
+// ranker and a one-shard engine return the same IDs at k = |E|.
+func TestTiedDistancesRankInIDOrder(t *testing.T) {
+	ds := kg.SynthFB237(67)
+	cfg := halk.DefaultConfig(67)
+	cfg.Dim, cfg.Hidden, cfg.NumGroups, cfg.Xi = 8, 16, 4, 0
+	m := halk.New(ds.Train, cfg)
+	n := ds.Train.NumEntities()
+	row := append([]float64(nil), m.EntityAngles(0)...)
+	var ups []halk.EntityUpdate
+	for e := 0; e < n; e += 3 {
+		ups = append(ups, halk.EntityUpdate{E: kg.EntityID(e), Angles: row})
+	}
+	if err := m.SetEntityAnglesBatch(ups); err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.NewShardedRanker(shard.Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, structure := range []string{"1p", "2i", "3p"} {
+		root := sampleQuery(t, ds, structure, 5)
+		want := m.TopK(root, n)
+		for name, rk := range map[string]Ranker{"full scan": fullScan{m}, "one-shard engine": r} {
+			res, err := rk.RankTopK(context.Background(), root, n)
+			if err != nil {
+				t.Fatalf("%s %s: %v", structure, name, err)
+			}
+			if len(res.IDs) != len(want) {
+				t.Fatalf("%s %s: %d answers, want %d", structure, name, len(res.IDs), len(want))
+			}
+			for i := range want {
+				if res.IDs[i] != want[i] {
+					t.Fatalf("%s %s: answer %d = %d, Model.TopK has %d", structure, name, i, res.IDs[i], want[i])
+				}
+			}
+		}
 	}
 }

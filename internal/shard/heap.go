@@ -3,14 +3,16 @@ package shard
 import (
 	"math"
 	"sort"
+
+	"github.com/halk-kg/halk/internal/kg"
 )
 
 // topK is a bounded binary max-heap over (distance, entity ID) pairs: it
 // retains the k smallest pairs under the lexicographic order (smaller
-// distance wins; equal distances break toward the smaller ID — the same
-// first-index-wins rule as the full-scan selection paths, so sharded
-// rankings reproduce their ordering exactly). The root is the current
-// worst retained pair, which doubles as the scan's pruning bound.
+// distance wins; equal distances break toward the smaller ID — the
+// order every ranking path selects in, through LowestK on the unsharded
+// ones). The root is the current worst retained pair, which doubles as
+// the scan's pruning bound.
 type topK struct {
 	k  int
 	d  []float64
@@ -125,4 +127,29 @@ func (h *topK) sorted() (d []float64, id []int32) {
 		ds[i], ids[i] = d[j], id[j]
 	}
 	return ds, ids
+}
+
+// LowestK returns the k smallest (distance, ID) pairs of a dense
+// distance vector in the engine's merge order: ascending distance, ties
+// toward the smaller ID. Pair i is (d[i], ids[i]), or (d[i], i) when ids
+// is nil. A k outside [0, len(d)] is clamped. O(len(d)·log k).
+func LowestK(d []float64, ids []kg.EntityID, k int) ([]kg.EntityID, []float64) {
+	k = max(0, min(k, len(d)))
+	if k == 0 {
+		return []kg.EntityID{}, []float64{}
+	}
+	h := newTopK(k)
+	for i, di := range d {
+		id := int32(i)
+		if ids != nil {
+			id = int32(ids[i])
+		}
+		h.push(di, id)
+	}
+	dists, id := h.sorted()
+	out := make([]kg.EntityID, len(id))
+	for i, e := range id {
+		out[i] = kg.EntityID(e)
+	}
+	return out, dists
 }

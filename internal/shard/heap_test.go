@@ -3,8 +3,11 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+
+	"github.com/halk-kg/halk/internal/kg"
 )
 
 // refTopK is the brute-force reference: sort all pairs by (dist, id) and
@@ -97,5 +100,31 @@ func TestTopKHeapResetReusesStorage(t *testing.T) {
 	h.push(1, 1)
 	if gd, gid := h.sorted(); len(gd) != 1 || gid[0] != 1 {
 		t.Fatalf("heap after reset returned %v %v", gd, gid)
+	}
+}
+
+// TestLowestKTieOrder pins the (distance, ID) order on ties, which a
+// selection sort loses once a swap has moved an index: for [5 1 5 5 0]
+// at k = 3 it returned [4 1 2]; the engine's heap and the benchmark
+// oracle give [4 1 0].
+func TestLowestKTieOrder(t *testing.T) {
+	d := []float64{5, 1, 5, 5, 0}
+	ids, dists := LowestK(d, nil, 3)
+	if want := []kg.EntityID{4, 1, 0}; !slices.Equal(ids, want) {
+		t.Fatalf("LowestK(%v, 3) = %v, want %v", d, ids, want)
+	}
+	if want := []float64{0, 1, 5}; !slices.Equal(dists, want) {
+		t.Fatalf("LowestK(%v, 3) distances = %v, want %v", d, dists, want)
+	}
+	// Explicit IDs order ties by ID, not by position.
+	ids, _ = LowestK(d, []kg.EntityID{9, 8, 7, 6, 5}, 4)
+	if want := []kg.EntityID{5, 8, 6, 7}; !slices.Equal(ids, want) {
+		t.Fatalf("LowestK with IDs = %v, want %v", ids, want)
+	}
+	if ids, _ := LowestK(d, nil, -1); len(ids) != 0 {
+		t.Fatalf("LowestK(k=-1) = %v, want empty", ids)
+	}
+	if ids, _ := LowestK(d, nil, 9); !slices.Equal(ids, []kg.EntityID{4, 1, 0, 2, 3}) {
+		t.Fatalf("LowestK(k=9) = %v, want every entity in order", ids)
 	}
 }
