@@ -6,13 +6,13 @@
 //
 // Usage:
 //
-//	halk-serve -ckpt nell.ckpt -addr :8080 -approx
+//	halk-serve -ckpt nell.ckpt -addr :8080
 //
 // -ckpt accepts a checkpoint file or a rotation directory written by
 // halk-train -ckpt-dir; a directory resolves to its newest verified
 // entry. With -ckpt-watch the path is polled and newer checkpoints are
 // hot-reloaded into the running server: verified first, published as a
-// new serving view, sharded snapshot and ANN index rebuilt. A corrupt
+// new serving view, sharded snapshot rebuilt. A corrupt
 // or mismatched candidate is rejected — the server keeps answering
 // from the previous parameters and counts the failure on
 // halk_ckpt_reload_failures_total.
@@ -29,9 +29,9 @@
 // Endpoints:
 //
 //	POST /v1/query   {"sparql"|"query"|"structure": ..., "k": 10,
-//	                  "mode": "exact"|"approx", "timeout_ms": 2000}
+//	                  "timeout_ms": 2000}
 //	GET  /v1/healthz liveness + model identity
-//	GET  /v1/stats   request/latency/cache/candidate-pool/checkpoint metrics
+//	GET  /v1/stats   request/latency/cache/checkpoint metrics
 //	POST /v1/topology/join   router mode: {"range": N, "node": "host:port"}
 //	                  adds a replica in probation (202; admitted after the
 //	                  identity probe passes)
@@ -64,7 +64,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/halk-kg/halk/internal/ann"
 	"github.com/halk-kg/halk/internal/ckpt"
 	"github.com/halk-kg/halk/internal/cluster"
 	"github.com/halk-kg/halk/internal/halk"
@@ -93,7 +92,6 @@ func main() {
 		maxK     = flag.Int("maxk", 1000, "cap on per-request k")
 		maxBatch = flag.Int("max-batch", serve.DefaultMaxBatch, "cap on the query count of one POST /v1/batch request")
 		timeout  = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
-		approx   = flag.Bool("approx", false, "build the ANN answer index and enable \"mode\": \"approx\"")
 		shards   = flag.Int("shards", 0, "shard the entity table and serve exact queries through the scatter-gather engine (0 = single-threaded full scan)")
 		shardTO  = flag.Duration("shard-timeout", 0, "per-shard scan deadline; missed shards degrade the response to a partial result (0 = none)")
 		drain    = flag.Duration("drain", 15*time.Second, "shutdown drain budget for in-flight requests")
@@ -186,10 +184,6 @@ func main() {
 	if *maxQueueWait > 0 {
 		log.Printf("admission control enabled: shedding at expected queue wait > %v", *maxQueueWait)
 	}
-	if *approx {
-		cfg.Approx = m.NewAnswerIndex(ann.DefaultConfig(hdr.Seed))
-		log.Print("ANN answer index built; \"mode\": \"approx\" enabled")
-	}
 	topology, err := cluster.ParseTopology(*clusterList, *clusterFile)
 	if err != nil {
 		log.Fatal(err)
@@ -273,7 +267,6 @@ func main() {
 	// Live-edge ingest: POST /v1/edges batches are WAL-logged, fine-tuned
 	// into the local model by a background drainer, and published as
 	// delta snapshots through the same swap machinery hot-reload uses.
-	var srv *serve.Server
 	var ing *ingest.Ingester
 	if ingestOn {
 		if len(topology) > 0 {
@@ -319,17 +312,11 @@ func main() {
 			},
 			// Publish pushes the fine-tuned rows into whatever the exact
 			// path answers from: the sharded engine rebuilds only the
-			// shards owning dirty entities; the ANN index (which snapshots
-			// embeddings at build time) is rebuilt and swapped. The
-			// unsharded full scan reads the live table and needs nothing.
+			// shards owning dirty entities. The unsharded full scan reads
+			// the live table and needs nothing.
 			Publish: func(dirty []kg.EntityID) error {
 				if ranker != nil {
-					if err := ranker.RefreshDirty(dirty); err != nil {
-						return err
-					}
-				}
-				if *approx && srv != nil {
-					srv.SetApprox(m.NewAnswerIndex(ann.DefaultConfig(hdr.Seed)))
+					return ranker.RefreshDirty(dirty)
 				}
 				return nil
 			},
@@ -339,7 +326,7 @@ func main() {
 		}
 		cfg.Edges = ing
 	}
-	srv, err = serve.New(cfg)
+	srv, err := serve.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -421,11 +408,6 @@ func main() {
 				if err := ranker.Refresh(); err != nil {
 					log.Printf("ckpt-watch: shard snapshot refresh: %v", err)
 				}
-			}
-			if *approx {
-				// The ANN index snapshots embeddings at build time;
-				// rebuild it over the new table and swap it in.
-				srv.SetApprox(m.NewAnswerIndex(ann.DefaultConfig(hdr.Seed)))
 			}
 		}, log.Printf)
 		log.Printf("checkpoint watcher polling %s every %v", *ckptPath, *ckptWatch)

@@ -73,7 +73,7 @@ func LoadServing(ctx context.Context, path string, logf func(format string, args
 // ReloadFromFile. loaded is the checkpoint m currently serves; only
 // candidates that differ from it, and later from each other, are read.
 // After a swap afterSwap runs — the caller rebuilds whatever snapshots
-// the embeddings at build time (shard snapshots, the ANN index) — and
+// the embeddings at build time (shard snapshots) — and
 // status records the new path, step and entity version. A candidate that
 // fails verification swaps nothing: it is counted once on status and
 // acknowledged, so it is not re-read every tick but only once the path

@@ -12,17 +12,7 @@ import (
 
 // This file is the unsharded exact ranker: the full scan that scores
 // every entity of a view with shard.Score over the view's trig tables,
-// the scorer the shard engine and the approx rescore share.
-
-// preArc is a query arc prepared for fast scoring; it is the shard
-// engine's prepared-arc type, so the single-node path and the sharded
-// path share one preparation and one scorer (and therefore the same
-// bits).
-type preArc = shard.Arc
-
-func (m *net) prepareArc(a ValueArc) preArc {
-	return shard.PrepareArc(m.shardParams(), a.C, a.L, a.Hot)
-}
+// the scorer the shard engine uses too.
 
 // shardParams exports the scoring constants in the shard engine's form.
 func (m *net) shardParams() shard.Params {
@@ -53,14 +43,9 @@ func (v *view) distances(ctx context.Context, n *query.Node) ([]float64, error) 
 				return nil, err
 			}
 		}
-		out[e] = v.score(p, cosT, sinT, kg.EntityID(e), arcs)
+		row := e * p.Dim
+		group := int32(v.groups.GroupOf(kg.EntityID(e)))
+		out[e] = shard.Score(p, cosT[row:row+p.Dim], sinT[row:row+p.Dim], group, arcs, math.Inf(1))
 	}
 	return out, nil
-}
-
-// score is the unpruned shard.Score of entity e over the trig tables.
-func (m *net) score(p shard.Params, cosT, sinT []float64, e kg.EntityID, arcs []preArc) float64 {
-	row := int(e) * p.Dim
-	group := int32(m.groups.GroupOf(e))
-	return shard.Score(p, cosT[row:row+p.Dim], sinT[row:row+p.Dim], group, arcs, math.Inf(1))
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/halk-kg/halk/internal/ann"
 	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/query"
 	"github.com/halk-kg/halk/internal/shard"
@@ -48,10 +47,6 @@ func TestNegativeKReturnsEmpty(t *testing.T) {
 	d, err := m.DistancesContext(context.Background(), q)
 	if got, _ := shard.LowestK(d, nil, -1); err != nil || len(got) != 0 {
 		t.Errorf("LowestK(DistancesContext, k=-1) = %v, %v; want empty, nil", got, err)
-	}
-	ai := m.NewAnswerIndex(ann.DefaultConfig(50))
-	if got := ai.TopKApprox(q, -1); len(got) != 0 {
-		t.Errorf("TopKApprox(k=-1) = %v, want empty", got)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/halk-kg/halk/internal/ann"
 	"github.com/halk-kg/halk/internal/autodiff"
 	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/query"
@@ -370,31 +369,5 @@ func TestDistancesMatchScalarEngine(t *testing.T) {
 			}
 		}
 		r.Close()
-	}
-}
-
-// TestTopKApproxRescoresExact pins the approx rescore to the exact
-// distance: for every structure, the IDs TopKApprox returns are in
-// (Distances(q)[id], id) order.
-func TestTopKApproxRescoresExact(t *testing.T) {
-	m, ds := testModel(t, 89)
-	ai := m.NewAnswerIndex(ann.DefaultConfig(90))
-	s := query.NewSampler(ds.Train, rand.New(rand.NewSource(91)))
-	for _, structure := range identityStructures() {
-		q, ok := s.Sample(structure)
-		if !ok {
-			t.Fatalf("sampling %s failed", structure)
-		}
-		dist := m.Distances(q)
-		got := ai.TopKApprox(q, 20)
-		if len(got) == 0 {
-			t.Fatalf("%s: empty approximate answer set", structure)
-		}
-		for i := 1; i < len(got); i++ {
-			a, b := got[i-1], got[i]
-			if dist[a] > dist[b] || (dist[a] == dist[b] && a >= b) {
-				t.Fatalf("%s: rank %d (entity %d, %v) comes before entity %d (%v)", structure, i-1, a, dist[a], b, dist[b])
-			}
-		}
 	}
 }

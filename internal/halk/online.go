@@ -120,9 +120,7 @@ type EntityUpdate struct {
 // the whole batch or nothing. The rows are written into a copy of the
 // entity table, so a ranking observes either the entire old table or the
 // entire new one — never a mix — and, because cache keys are namespaced
-// by version, a cached answer is never served across the bump. An
-// AnswerIndex built before the update keeps its view; rebuild it to
-// re-sync the candidate buckets.
+// by version, a cached answer is never served across the bump.
 func (m *Model) SetEntityAnglesBatch(updates []EntityUpdate) error {
 	for _, u := range updates {
 		if err := m.checkEntityAngles(u.E, u.Angles); err != nil {

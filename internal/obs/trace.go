@@ -22,7 +22,6 @@ const (
 	StageShardScatter = "shard_scatter" // parallel shard scans (sharded path)
 	StageHeapMerge    = "heap_merge"    // k-way merge of per-shard heaps
 	StageRankScan     = "rank_scan"     // single-threaded full scan + top-K
-	StageApproxTopK   = "approx_topk"   // ANN candidate-pool ranking
 	StageEncode       = "encode"        // response labelling + JSON encode
 )
 

@@ -1,5 +1,7 @@
 package query
 
+import "math"
+
 // DNF rewrites a query into Disjunctive Normal Form: a list of
 // union-free conjunctive queries whose answer union equals the original
 // query's answers (HaLk Sec. III-F). The union operator thereby becomes
@@ -74,6 +76,69 @@ func DNF(n *Node) []*Node {
 		return out
 	}
 	panic("query: DNF: unknown op")
+}
+
+// DNFWidth returns the largest number of disjuncts DNF builds at any
+// node of n, without building them: an intersection multiplies its
+// arguments' counts, a union adds them, and a difference keeps its
+// minuend's count while flattening its subtrahends into one list. A
+// negated or subtracted subtree collapses to one conjunct, but DNF
+// expands it first, so its count is a candidate for the maximum too.
+// Counts saturate at math.MaxInt instead of overflowing, so the width
+// of an input-controlled query can be checked before DNF runs on it.
+func DNFWidth(n *Node) int {
+	_, widest := dnfWidth(n)
+	return widest
+}
+
+// dnfWidth returns len(DNF(n)) and the largest list DNF builds at any
+// node of n, both saturating.
+func dnfWidth(n *Node) (count, widest int) {
+	switch n.Op {
+	case OpAnchor:
+		return 1, 1
+	case OpProjection:
+		return dnfWidth(n.Args[0])
+	case OpNegation:
+		_, widest = dnfWidth(n.Args[0])
+		return 1, widest
+	case OpIntersection, OpUnion, OpDifference:
+	default:
+		panic("query: DNFWidth: unknown op")
+	}
+	if n.Op != OpUnion {
+		count = 1
+	}
+	subs := 0
+	for i, a := range n.Args {
+		c, w := dnfWidth(a)
+		widest = max(widest, w)
+		switch {
+		case n.Op == OpIntersection:
+			count = satMul(count, c)
+		case n.Op == OpUnion:
+			count = satAdd(count, c)
+		case i == 0:
+			count = c
+		default:
+			subs = satAdd(subs, c)
+		}
+	}
+	return count, max(widest, count, subs)
+}
+
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
+}
+
+func satMul(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // cross invokes f for every combination taking one element from each list.

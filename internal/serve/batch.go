@@ -37,9 +37,7 @@ type batchItem struct {
 	K int `json:"k,omitempty"`
 }
 
-// batchRequest is the POST /v1/batch body. The batch always ranks in
-// exact mode — batching is a property of the blocked exact-scan kernel;
-// approx queries gain nothing from it and go through /v1/query.
+// batchRequest is the POST /v1/batch body.
 type batchRequest struct {
 	Queries []batchItem `json:"queries"`
 	// K is the answer count for items that set no k of their own;
@@ -112,7 +110,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		slots[i] = batchResult{root: root, Structure: it.Structure, K: k}
 	}
 
-	hits, ok := q.answer("exact", req.TimeoutMS, slots)
+	hits, ok := q.answer(req.TimeoutMS, slots)
 	s.metrics.observeBatch(len(slots), hits)
 	if !ok {
 		return

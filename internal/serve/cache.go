@@ -8,8 +8,8 @@ import (
 )
 
 // answerCache is a mutex-protected LRU over ranked answer lists, keyed
-// by the canonical query key plus the request parameters that change the
-// answer (mode, k). Hit/miss/eviction counters live on the obs registry
+// by the canonical query key plus the request parameter that changes the
+// answer (k). Hit/miss/eviction counters live on the obs registry
 // (halk_cache_*), so /v1/stats and /metrics report the same numbers.
 type answerCache struct {
 	mu    sync.Mutex

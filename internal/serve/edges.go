@@ -125,7 +125,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		Seq:           seq,
 		Added:         len(req.Add),
 		Removed:       len(req.Remove),
-		EntityVersion: s.answerVersion("exact"),
+		EntityVersion: s.cfg.Ranker.SnapshotVersion(),
 	})
 }
 

@@ -40,15 +40,14 @@ func (f fullScan) RankTopK(ctx context.Context, n *query.Node, k int) (*shard.Re
 	return res, nil
 }
 
-func (f fullScan) SnapshotVersion() uint64      { return modelVersion(f.m) }
-func (fullScan) NumShards() int                 { return 0 }
-func (fullScan) ShardStats() []shard.ShardStats { return nil }
-
-// modelVersion is the model's live entity-table version, or 0 for a
+// SnapshotVersion is the model's live entity-table version, or 0 for a
 // model that does not implement EntityVersioner.
-func modelVersion(m model.Interface) uint64 {
-	if ev, ok := m.(EntityVersioner); ok {
+func (f fullScan) SnapshotVersion() uint64 {
+	if ev, ok := f.m.(EntityVersioner); ok {
 		return ev.EntityVersion()
 	}
 	return 0
 }
+
+func (fullScan) NumShards() int                 { return 0 }
+func (fullScan) ShardStats() []shard.ShardStats { return nil }

@@ -31,8 +31,8 @@ type queryRequest struct {
 	// K is the number of answers to return; defaults to the server's
 	// DefaultK, capped at MaxK.
 	K int `json:"k,omitempty"`
-	// Mode selects "exact" (full ranking, default) or "approx"
-	// (ANN-pruned candidate pool).
+	// Mode may be omitted or "exact", the only answering mode: every
+	// query ranks the whole entity table.
 	Mode string `json:"mode,omitempty"`
 	// TimeoutMS bounds the request end to end (queue wait + ranking);
 	// defaults to the server's DefaultTimeout.
@@ -40,8 +40,7 @@ type queryRequest struct {
 }
 
 // Answer is one ranked answer entity. Distance is the model's
-// entity-to-query distance (lower = more likely); approx mode omits it,
-// since the ANN path reports only the ranking.
+// entity-to-query distance (lower = more likely).
 type Answer struct {
 	ID       kg.EntityID `json:"id"`
 	Entity   string      `json:"entity"`
@@ -119,24 +118,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		q.fail(http.StatusBadRequest, "%v", err)
 		return
 	}
-	mode := req.Mode
-	if mode == "" {
-		mode = "exact"
-	}
-	switch mode {
-	case "exact":
-	case "approx":
-		if s.approxAnswerer() == nil {
-			q.fail(http.StatusBadRequest, "approx mode is not enabled on this server")
-			return
-		}
-	default:
-		q.fail(http.StatusBadRequest, "unknown mode %q (want \"exact\" or \"approx\")", mode)
+	if req.Mode != "" && req.Mode != "exact" {
+		q.fail(http.StatusBadRequest, "unknown mode %q (want \"exact\")", req.Mode)
 		return
 	}
 
 	slots := []batchResult{{root: root, Structure: req.Structure, K: req.K}}
-	if _, ok := q.answer(mode, req.TimeoutMS, slots); !ok {
+	if _, ok := q.answer(req.TimeoutMS, slots); !ok {
 		return
 	}
 	sl := &slots[0]
@@ -144,7 +132,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Query:          sl.Query,
 		Canonical:      sl.Canonical,
 		Structure:      sl.Structure,
-		Mode:           mode,
+		Mode:           "exact",
 		K:              sl.K,
 		Cached:         sl.Cached,
 		Partial:        sl.Partial,
@@ -171,11 +159,31 @@ type QueryForm struct {
 	Seed      int64
 }
 
+// maxDisjuncts caps query.DNFWidth of a served query. The DNF rewrite
+// multiplies disjuncts across an intersection, so a body of a few
+// hundred bytes (an intersection of 16 two-way unions) would expand to
+// 65 536 disjuncts and each further union doubles that, until the
+// process runs out of memory. Every structure of the paper's benchmark
+// has at most 2.
+const maxDisjuncts = 64
+
 // Compile turns the form into a query computation DAG against the
 // serving dictionaries. graph may be nil, which disables the structure
-// form. Exported for the cluster node frontend, whose /v1/query accepts
-// the same forms.
+// form. A query whose DNF rewrite builds more than maxDisjuncts
+// disjuncts at some node is refused. Exported for the cluster node
+// frontend, whose /v1/query accepts the same forms.
 func Compile(f QueryForm, entities, relations *kg.Dict, graph *kg.Graph) (*query.Node, error) {
+	root, err := compileForm(f, entities, relations, graph)
+	if err != nil {
+		return nil, err
+	}
+	if w := query.DNFWidth(root); w > maxDisjuncts {
+		return nil, fmt.Errorf("query expands to more than %d disjuncts in its DNF rewrite", maxDisjuncts)
+	}
+	return root, nil
+}
+
+func compileForm(f QueryForm, entities, relations *kg.Dict, graph *kg.Graph) (*query.Node, error) {
 	forms := 0
 	for _, set := range []bool{f.SPARQL != "", f.Query != "", f.Structure != ""} {
 		if set {
@@ -214,18 +222,6 @@ func Compile(f QueryForm, entities, relations *kg.Dict, graph *kg.Graph) (*query
 	}
 }
 
-// answerVersion is the entity-table version the given mode answers
-// from, used to namespace cache keys: updating the embeddings bumps the
-// version, so stale cached answers become unreachable instead of being
-// served. Exact answers come from the ranker's snapshot; approx answers
-// read the live model table.
-func (s *Server) answerVersion(mode string) uint64 {
-	if mode == "approx" {
-		return modelVersion(s.cfg.Model)
-	}
-	return s.cfg.Ranker.SnapshotVersion()
-}
-
 // healthzResponse is the GET /v1/healthz readiness report: enough for a
 // load balancer (or the cluster router's node-discovery loop) to decide
 // whether this process can answer, and at which entity-table version.
@@ -254,7 +250,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:        "ok",
 		Model:         s.cfg.Model.Name(),
 		Entities:      s.cfg.Entities.Len(),
-		EntityVersion: s.answerVersion("exact"),
+		EntityVersion: s.cfg.Ranker.SnapshotVersion(),
 		Shards:        s.cfg.Ranker.NumShards(),
 	}
 	if s.cfg.Ckpt != nil {
@@ -280,8 +276,6 @@ type statsResponse struct {
 	Workers   int                         `json:"workers"`
 	Endpoints map[string]endpointSnapshot `json:"endpoints"`
 	Cache     cacheStats                  `json:"cache"`
-	ApproxOn  bool                        `json:"approx_enabled"`
-	Pool      poolSnapshot                `json:"candidate_pool"`
 	// NumShards and Shards describe the sharded ranking engine when
 	// Config.Ranker is one: shard count, ID ranges, scan counts, deadline skips,
 	// circuit-breaker and hedging counters, and scan-latency summaries
@@ -308,7 +302,7 @@ type statsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	endpoints, pool, uptime := s.metrics.snapshot()
+	endpoints, uptime := s.metrics.snapshot()
 	resp := statsResponse{
 		Model:     s.cfg.Model.Name(),
 		Entities:  s.cfg.Entities.Len(),
@@ -316,8 +310,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Workers:   s.workers,
 		Endpoints: endpoints,
 		Cache:     s.cache.stats(),
-		ApproxOn:  s.approxAnswerer() != nil,
-		Pool:      pool,
 		NumShards: s.cfg.Ranker.NumShards(),
 		Shards:    s.cfg.Ranker.ShardStats(),
 	}

@@ -8,11 +8,10 @@ import (
 )
 
 // metrics is the serving side's view into the obs registry: request and
-// error counters plus a latency histogram per endpoint, a per-stage
-// query-pipeline latency histogram, and the approx-mode candidate-pool
-// size distribution. The registry is the single source of truth — the
-// same series back the Prometheus exposition at /metrics and the JSON
-// snapshot at /v1/stats.
+// error counters plus a latency histogram per endpoint, and a per-stage
+// query-pipeline latency histogram. The registry is the single source
+// of truth — the same series back the Prometheus exposition at /metrics
+// and the JSON snapshot at /v1/stats.
 type metrics struct {
 	reg   *obs.Registry
 	start time.Time
@@ -20,7 +19,6 @@ type metrics struct {
 	mu        sync.Mutex
 	endpoints map[string]*endpointMetrics
 	stages    map[string]*obs.Histogram
-	poolSizes *obs.Histogram
 	// batchSizes distributes /v1/batch request sizes in queries;
 	// batchQueries and batchCached count the queries inside batches and
 	// how many of them the answer cache covered.
@@ -47,7 +45,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		start:     time.Now(),
 		endpoints: make(map[string]*endpointMetrics),
 		stages:    make(map[string]*obs.Histogram),
-		poolSizes: reg.Histogram("halk_approx_pool_size", "Candidate-pool sizes of approx-mode queries.", obs.SizeBuckets),
 		batchSizes: reg.Histogram("halk_batch_size",
 			"Query counts of /v1/batch requests.", obs.SizeBuckets),
 		batchQueries: reg.Counter("halk_batch_queries_total",
@@ -110,11 +107,6 @@ func (mt *metrics) stage(name string) *obs.Histogram {
 	return h
 }
 
-// observePool records the candidate-pool size of one approx-mode query.
-func (mt *metrics) observePool(size int) {
-	mt.poolSizes.Observe(float64(size))
-}
-
 // observeBatch records one /v1/batch request: its query count and how
 // many of those queries the answer cache covered.
 func (mt *metrics) observeBatch(size, cached int) {
@@ -136,17 +128,9 @@ type latency struct {
 	P99 float64 `json:"p99"`
 }
 
-// poolSnapshot summarises approx-mode candidate-pool sizes.
-type poolSnapshot struct {
-	Queries uint64  `json:"queries"`
-	Mean    float64 `json:"mean"`
-	P90     float64 `json:"p90"`
-}
-
 // snapshot renders the JSON view over the registry: per-endpoint
-// counters with histogram-interpolated latency quantiles, the
-// candidate-pool summary, and uptime.
-func (mt *metrics) snapshot() (map[string]endpointSnapshot, poolSnapshot, float64) {
+// counters with histogram-interpolated latency quantiles, and uptime.
+func (mt *metrics) snapshot() (map[string]endpointSnapshot, float64) {
 	mt.mu.Lock()
 	names := make([]string, 0, len(mt.endpoints))
 	for name := range mt.endpoints {
@@ -167,10 +151,5 @@ func (mt *metrics) snapshot() (map[string]endpointSnapshot, poolSnapshot, float6
 			},
 		}
 	}
-	pool := poolSnapshot{
-		Queries: mt.poolSizes.Count(),
-		Mean:    mt.poolSizes.Mean(),
-		P90:     mt.poolSizes.Quantile(0.90),
-	}
-	return eps, pool, time.Since(mt.start).Seconds()
+	return eps, time.Since(mt.start).Seconds()
 }

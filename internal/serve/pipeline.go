@@ -68,10 +68,12 @@ func (q *request) decode(v any) bool {
 // misses as one unit of work: one admission slot, one pool task. It
 // reports how many slots the cache covered; on false the failure
 // response is already written.
-func (q *request) answer(mode string, timeoutMS int, slots []batchResult) (hits int, ok bool) {
+func (q *request) answer(timeoutMS int, slots []batchResult) (hits int, ok bool) {
 	s := q.s
 	q.tr.Begin(obs.StageCanonicalize)
-	version := s.answerVersion(mode)
+	// Keys are namespaced by the ranker's snapshot version: a publish
+	// bumps it, so stale cached answers become unreachable, never served.
+	version := s.cfg.Ranker.SnapshotVersion()
 	for i := range slots {
 		sl := &slots[i]
 		if sl.K <= 0 {
@@ -82,7 +84,7 @@ func (q *request) answer(mode string, timeoutMS int, slots []batchResult) (hits 
 		}
 		sl.Query = sl.root.String()
 		sl.Canonical = query.CanonicalKey(sl.root)
-		sl.key = fmt.Sprintf("v%d|%s|%s|k=%d", version, sl.Canonical, mode, sl.K)
+		sl.key = fmt.Sprintf("v%d|%s|k=%d", version, sl.Canonical, sl.K)
 	}
 
 	q.tr.Begin(obs.StageCacheLookup)
@@ -132,7 +134,7 @@ func (q *request) answer(mode string, timeoutMS int, slots []batchResult) (hits 
 	poolErr := s.pool.Do(ctx, func() {
 		q.tr.End() // a worker picked the task up: queue wait is over
 		svcStart := time.Now()
-		rankErr = s.rankMisses(ctx, mode, slots)
+		rankErr = s.rankMisses(ctx, slots)
 		svcMs = float64(time.Since(svcStart)) / float64(time.Millisecond)
 	})
 	if err := firstErr(poolErr, rankErr); err != nil {
@@ -180,7 +182,7 @@ func (q *request) answer(mode string, timeoutMS int, slots []batchResult) (hits 
 // one miss goes through a single RankBatch gather when the ranker
 // batches (BatchRanker); otherwise each miss ranks alone through
 // RankTopK, with identical results.
-func (s *Server) rankMisses(ctx context.Context, mode string, slots []batchResult) error {
+func (s *Server) rankMisses(ctx context.Context, slots []batchResult) error {
 	var miss []*batchResult
 	for i := range slots {
 		if slots[i].Cached {
@@ -191,27 +193,6 @@ func (s *Server) rankMisses(ctx context.Context, mode string, slots []batchResul
 		}
 		miss = append(miss, &slots[i])
 	}
-	tr := obs.FromContext(ctx)
-	if mode == "approx" {
-		a := s.approxAnswerer()
-		if a == nil {
-			// The index was swapped out between the handler's mode check and
-			// this worker picking the request up.
-			return fmt.Errorf("approx mode is not enabled on this server")
-		}
-		begin := time.Now()
-		for _, sl := range miss {
-			ids := a.TopKApprox(sl.root, sl.K)
-			s.metrics.observePool(a.PoolSize(sl.root))
-			sl.Answers = make([]Answer, len(ids))
-			for i, e := range ids {
-				sl.Answers[i] = Answer{ID: e, Entity: s.cfg.Entities.Name(int32(e))}
-			}
-		}
-		tr.Observe(obs.StageApproxTopK, time.Since(begin))
-		return nil
-	}
-
 	// The ranker traces its own stages (rank_scan, or prepare/scatter/
 	// merge) through the context; only the answer labelling is ours,
 	// counted toward the encode stage.
@@ -246,7 +227,7 @@ func (s *Server) rankMisses(ctx context.Context, mode string, slots []batchResul
 			sl.ShardsAnswered = res.Answered
 		}
 	}
-	tr.Observe(obs.StageEncode, time.Since(begin))
+	obs.FromContext(ctx).Observe(obs.StageEncode, time.Since(begin))
 	return nil
 }
 

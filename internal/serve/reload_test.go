@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/halk-kg/halk/internal/ann"
 	"github.com/halk-kg/halk/internal/ckpt"
 	"github.com/halk-kg/halk/internal/obs"
 	"github.com/halk-kg/halk/internal/shard"
@@ -143,33 +142,4 @@ func TestCheckpointHotReloadEndToEnd(t *testing.T) {
 		}
 	}
 	_ = ds
-}
-
-// TestSetApproxSwap exercises the live ANN swap: disabling approx mode
-// rejects requests with 400, installing a rebuilt index re-enables it,
-// and /v1/stats tracks the current state.
-func TestSetApproxSwap(t *testing.T) {
-	s, m, _, ts := newTestServer(t, func(c *Config) {
-		c.Approx = nil
-	})
-	req := queryRequest{Structure: "1p", Seed: 3, K: 5, Mode: "approx"}
-	if _, code := postQuery(t, ts, req); code != http.StatusBadRequest {
-		t.Fatalf("approx with no index: code=%d, want 400", code)
-	}
-	if getStats(t, ts).ApproxOn {
-		t.Fatal("stats report approx enabled with no index")
-	}
-
-	s.SetApprox(m.NewAnswerIndex(ann.DefaultConfig(61)))
-	if _, code := postQuery(t, ts, req); code != http.StatusOK {
-		t.Fatalf("approx after SetApprox: code=%d, want 200", code)
-	}
-	if !getStats(t, ts).ApproxOn {
-		t.Fatal("stats report approx disabled after SetApprox")
-	}
-
-	s.SetApprox(nil)
-	if _, code := postQuery(t, ts, req); code != http.StatusBadRequest {
-		t.Fatalf("approx after SetApprox(nil): code=%d, want 400", code)
-	}
 }

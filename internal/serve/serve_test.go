@@ -8,11 +8,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/halk-kg/halk/internal/ann"
 	"github.com/halk-kg/halk/internal/autodiff"
 	"github.com/halk-kg/halk/internal/halk"
 	"github.com/halk-kg/halk/internal/kg"
@@ -220,7 +220,7 @@ func TestRequestValidation(t *testing.T) {
 		{Query: dslFor(ds, 0, 1), SPARQL: "x"}, // two forms
 		{Structure: "no-such-structure"},
 		{Query: dslFor(ds, 0, 1), Mode: "fuzzy"},
-		{Query: dslFor(ds, 0, 1), Mode: "approx"}, // approx not enabled
+		{Query: dslFor(ds, 0, 1), Mode: "approx"}, // exact is the only mode
 	}
 	for i, req := range cases {
 		if _, code := postQuery(t, ts, req); code != http.StatusBadRequest {
@@ -229,66 +229,38 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-func TestApproxMode(t *testing.T) {
-	m, ds := testHalkModel(61)
-	ix := m.NewAnswerIndex(ann.DefaultConfig(3))
-	s2, err := New(Config{
-		Model:     m,
-		Entities:  ds.Train.Entities,
-		Relations: ds.Train.Relations,
-		Approx:    ix,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer func() {
-		ts2.Close()
-		s2.Close()
-	}()
-
-	root := query.NewProjection(1, query.NewAnchor(9))
-	body, _ := json.Marshal(queryRequest{Query: dslFor(ds, 1, 9), Mode: "approx", K: 8})
-	res, err := http.Post(ts2.URL+"/v1/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", res.StatusCode)
-	}
-	var qr queryResponse
-	if err := json.NewDecoder(res.Body).Decode(&qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Mode != "approx" {
-		t.Fatalf("mode %q", qr.Mode)
-	}
-	want := ix.TopKApprox(root, 8)
-	if len(qr.Answers) != len(want) {
-		t.Fatalf("%d answers, want %d", len(qr.Answers), len(want))
-	}
-	for i := range want {
-		if qr.Answers[i].ID != want[i] {
-			t.Errorf("answer %d: %d, want %d", i, qr.Answers[i].ID, want[i])
+// TestCompileBoundsDNF: a short body whose DNF rewrite would multiply
+// out (an intersection of 16 two-way unions, 65 536 disjuncts) is
+// refused with 400 before anything expands it; a query at the bound is
+// served, and every benchmark structure compiles.
+func TestCompileBoundsDNF(t *testing.T) {
+	_, _, ds, ts := newTestServer(t, nil)
+	unions := func(n int) string {
+		parts := make([]string, n)
+		for i := range parts {
+			parts[i] = fmt.Sprintf("u(%s,%s)", dslFor(ds, 0, 1), dslFor(ds, 1, 2))
 		}
-		if qr.Answers[i].Distance != nil {
-			t.Errorf("answer %d: approx mode must omit distance", i)
+		return "i(" + strings.Join(parts, ",") + ")"
+	}
+	begin := time.Now()
+	if _, code := postQuery(t, ts, queryRequest{Query: unions(16), K: 3}); code != http.StatusBadRequest {
+		t.Fatalf("16 unions under one intersection: status %d, want 400", code)
+	}
+	if d := time.Since(begin); d > 2*time.Second {
+		t.Errorf("refusing the 16-union body took %v", d)
+	}
+	if _, code := postQuery(t, ts, queryRequest{Query: unions(7), K: 3}); code != http.StatusBadRequest {
+		t.Errorf("128 disjuncts: status %d, want 400", code)
+	}
+	if _, code := postQuery(t, ts, queryRequest{Query: unions(6), K: 3}); code != http.StatusOK {
+		t.Errorf("64 disjuncts, the bound: status %d, want 200", code)
+	}
+	for _, name := range query.StructureNames() {
+		for seed := int64(1); seed <= 5; seed++ {
+			if _, err := Compile(QueryForm{Structure: name, Seed: seed}, ds.Train.Entities, ds.Train.Relations, ds.Test); err != nil {
+				t.Errorf("structure %s seed %d: %v", name, seed, err)
+			}
 		}
-	}
-
-	// Candidate-pool sizes must surface in stats.
-	res2, err := http.Get(ts2.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res2.Body.Close()
-	var sr statsResponse
-	if err := json.NewDecoder(res2.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if !sr.ApproxOn || sr.Pool.Queries < 1 || sr.Pool.Mean <= 0 {
-		t.Errorf("stats pool = %+v approx=%v, want >=1 query with positive mean", sr.Pool, sr.ApproxOn)
 	}
 }
 

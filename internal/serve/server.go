@@ -3,8 +3,8 @@
 // logical queries over HTTP/JSON. This is the paper's online
 // answer-identification phase (Sec. III-H) run as a service — the
 // checkpoint is loaded once, the entity trig tables stay warm, and each
-// request costs one query embedding plus one (exact or ANN-pruned)
-// entity ranking.
+// request costs one query embedding plus one exact ranking of every
+// entity.
 //
 // /v1/query and /v1/batch are one pipeline (request.answer): resolve k →
 // version-namespaced cache key → cache probe → one admission slot and
@@ -20,7 +20,6 @@
 //     Config.Model behind the same interface;
 //   - an LRU answer cache keyed by query.CanonicalKey, so logically
 //     equivalent phrasings (i(a,b) vs i(b,a)) share one entry;
-//   - optional ANN-backed approximate answering selected per request;
 //   - per-endpoint request counters and latency quantiles at /v1/stats;
 //   - per-request deadlines through context.Context.
 package serve
@@ -32,7 +31,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"github.com/halk-kg/halk/internal/ckpt"
@@ -74,17 +72,6 @@ type EntityVersioner interface {
 	EntityVersion() uint64
 }
 
-// ApproxAnswerer is the ANN-backed answering interface of the "approx"
-// request mode; halk.AnswerIndex implements it.
-type ApproxAnswerer interface {
-	// TopKApprox returns up to k likely answers from the index's
-	// candidate pool.
-	TopKApprox(n *query.Node, k int) []kg.EntityID
-	// PoolSize reports the candidate-pool size for the query (the work
-	// saved versus an exact full ranking; exported at /v1/stats).
-	PoolSize(n *query.Node) int
-}
-
 // Config assembles a Server.
 type Config struct {
 	// Model names the served model and, when Ranker is nil, answers
@@ -100,8 +87,6 @@ type Config struct {
 	// the named benchmark structure is sampled from this graph
 	// (typically the test split).
 	Graph *kg.Graph
-	// Approx, when set, enables the "approx" request mode.
-	Approx ApproxAnswerer
 	// Ranker serves "exact" requests. Nil means a full scan over Model
 	// behind the same interface; a sharded ranker returns results
 	// identical to that scan on the same snapshot, and may mark responses
@@ -179,13 +164,6 @@ type Server struct {
 	gate    *admission // nil when MaxQueueWait is 0
 	workers int
 	mux     *http.ServeMux
-
-	// approx is the live ANN answerer (seeded from Config.Approx); it is
-	// swapped by SetApprox after a checkpoint hot-reload, since an ANN
-	// index snapshots the embeddings at build time and must be rebuilt
-	// over the new table.
-	approxMu sync.RWMutex
-	approx   ApproxAnswerer
 }
 
 // New validates cfg and assembles the server with its worker pool,
@@ -244,7 +222,6 @@ func New(cfg Config) (*Server, error) {
 		metrics: newMetrics(cfg.Metrics),
 		workers: cfg.Workers,
 		mux:     http.NewServeMux(),
-		approx:  cfg.Approx,
 	}
 	if cfg.MaxQueueWait > 0 {
 		s.gate = newAdmission(cfg.Workers, cfg.MaxQueueWait, cfg.Metrics)
@@ -327,24 +304,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Workers reports the resolved ranking-pool size.
 func (s *Server) Workers() int { return s.workers }
-
-// SetApprox atomically replaces the ANN answerer behind "mode":
-// "approx" (nil disables the mode). halk-serve calls it after a
-// checkpoint hot-reload, once an index over the new embeddings is
-// rebuilt; requests racing the swap answer from whichever index they
-// observed, both of which were fully built.
-func (s *Server) SetApprox(a ApproxAnswerer) {
-	s.approxMu.Lock()
-	s.approx = a
-	s.approxMu.Unlock()
-}
-
-// approxAnswerer returns the live ANN answerer, or nil.
-func (s *Server) approxAnswerer() ApproxAnswerer {
-	s.approxMu.RLock()
-	defer s.approxMu.RUnlock()
-	return s.approx
-}
 
 // FlushCache drops every cached answer list. For models implementing
 // EntityVersioner (halk.Model does), embedding updates already make old

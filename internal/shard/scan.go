@@ -88,9 +88,9 @@ func (e *Engine) scoreLocal(sd *shardData, arcs []Arc, li int, h *topK, gbound *
 // group penalty of Eq. 17, minimised over the query's DNF arcs) of one
 // entity, given the cos/sin rows of its angles and its group id (read
 // only when p.Xi > 0). It is the one place the distance is evaluated
-// over cached unit vectors: the shard scan, the unsharded full scan
-// behind halk.Model.Distances and the approx rescore all call it, so
-// every ranker returns the same bits.
+// over cached unit vectors: the shard scan and the unsharded full scan
+// behind halk.Model.Distances both call it, so every ranker returns the
+// same bits.
 //
 // An arc whose partial sum strictly exceeds min(lim, best so far) is
 // abandoned: terms are non-negative, so it can neither improve the
