@@ -103,7 +103,7 @@ func main() {
 		clusterList  = flag.String("cluster", "", "router mode: comma-separated entity ranges, each a '|'-separated replica set of halk-shard addresses (e.g. \"a:9001|b:9001,a:9002|b:9002\"); exact queries scatter-gather across the ranges and fail over within each replica set")
 		clusterFile  = flag.String("cluster-file", "", "router mode: topology file with one entity range per line, the line's whitespace- or '|'-separated addresses being that range's replicas (# comments); SIGHUP re-reads it and applies membership changes to the running router")
 		remoteTO     = flag.Duration("remote-timeout", 2*time.Second, "per-attempt replica scan deadline in router mode; a replica that misses it fails over to its next sibling, and a range whose whole replica set is exhausted degrades the response to a partial result (0 = request deadline only)")
-		maxQueueWait = flag.Duration("max-queue-wait", 0, "admission control: shed requests with 429 when the expected worker-queue wait exceeds min(this, the request deadline) (0 disables)")
+		maxQueueWait = flag.Duration("max-queue-wait", 0, "admission control: shed requests with 429 when the expected wait for a ranking slot exceeds min(this, the request deadline) (0 disables)")
 		ckptWatch    = flag.Duration("ckpt-watch", 0, "poll the -ckpt path this often and hot-reload newer checkpoints into the running server (0 disables)")
 
 		ingestDir     = flag.String("ingest-dir", "", "enable POST /v1/edges with this write-ahead-log directory: accepted edge batches are logged there (replayed on startup; it also holds the persisted state checkpoint), fine-tuned into the model in the background, and published as delta snapshots (empty disables)")

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"log"
@@ -9,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +19,7 @@ import (
 	"github.com/halk-kg/halk/internal/obs"
 	"github.com/halk-kg/halk/internal/query"
 	"github.com/halk-kg/halk/internal/resil"
+	"github.com/halk-kg/halk/internal/serve"
 	"github.com/halk-kg/halk/internal/shard"
 )
 
@@ -271,6 +274,66 @@ func TestNodeScanRejectsShortHot(t *testing.T) {
 	res, err := remote.Scan(context.Background(), &ScanRequest{Arcs: specs, K: 10})
 	if err != nil || res.Partial || len(res.IDs) != 10 {
 		t.Fatalf("valid scan after rejected ones = %+v, %v; want 10 whole answers", res, err)
+	}
+}
+
+// TestNodeBoundsInput: the node refuses a /v1/scan or /v1/query body
+// over its byte cap with 413 and a scan of more arcs than a served query
+// can embed to (serve.MaxDisjuncts) with 400, while a scan at the arc
+// cap answers; the cap holds four copies of the largest legal scan body
+// at the paper's d = 800.
+func TestNodeBoundsInput(t *testing.T) {
+	m, ds := testModel(61)
+	tn := startNode(t, m, ds, 0, ds.Train.NumEntities(), nil)
+	remote := NewRemoteShard(tn.addr(), nil)
+	q, ok := query.NewSampler(ds.Test, rand.New(rand.NewSource(62))).Sample("1p")
+	if !ok {
+		t.Fatal("sampling 1p failed")
+	}
+	spec := embedFn(m)(q)[0]
+	for _, n := range []int{serve.MaxDisjuncts, serve.MaxDisjuncts + 1} {
+		arcs := make([]ArcSpec, n)
+		for i := range arcs {
+			arcs[i] = spec
+		}
+		_, err := remote.Scan(context.Background(), &ScanRequest{Arcs: arcs, K: 10})
+		var se *StatusError
+		switch {
+		case n == serve.MaxDisjuncts && err != nil:
+			t.Fatalf("scan of %d arcs: %v, want an answer", n, err)
+		case n > serve.MaxDisjuncts && (!errors.As(err, &se) || se.Code != http.StatusBadRequest):
+			t.Fatalf("scan of %d arcs: err = %v, want HTTP 400", n, err)
+		}
+	}
+
+	limit := maxBodyBytes(m.ShardParams().Dim)
+	pad := strings.Repeat("x", int(limit))
+	for _, path := range []string{"/v1/scan", "/v1/query"} {
+		res, err := http.Post(tn.addr()+path, "application/json", strings.NewReader(`{"k":1,"pad":"`+pad+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: status %d, want 413", path, len(pad), res.StatusCode)
+		}
+	}
+
+	const d = 800
+	worst := make([]float64, d) // 24 bytes of JSON each
+	for i := range worst {
+		worst[i] = -1.2345678901234567e-300
+	}
+	arcs := make([]ArcSpec, serve.MaxDisjuncts)
+	for i := range arcs {
+		arcs[i] = ArcSpec{C: worst, L: worst, Hot: worst[:64]}
+	}
+	body, err := json.Marshal(&ScanRequest{Arcs: arcs, K: 1000, Bound: worst[0], TimeoutMS: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 4*int64(len(body)) > maxBodyBytes(d) {
+		t.Fatalf("largest legal scan body at d = %d is %d bytes; the %d-byte cap holds fewer than 4", d, len(body), maxBodyBytes(d))
 	}
 }
 

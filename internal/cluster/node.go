@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -195,6 +194,25 @@ func fail(w http.ResponseWriter, code int, format string, args ...any) {
 	serve.WriteJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps a node request body at four times the largest legal
+// /v1/scan body: serve.MaxDisjuncts arcs of three d-vectors (c, l and
+// the hot vector, which has one entry per node group, far fewer than d)
+// at most 25 bytes of JSON per number, plus 1 MiB for the rest. At
+// d = 800 that is about 16 MB.
+func maxBodyBytes(d int) int64 {
+	return 4*serve.MaxDisjuncts*3*int64(d)*25 + 1<<20
+}
+
+// decode reads a JSON request body of at most maxBodyBytes into v; on
+// false the 413 or 400 is already written.
+func (n *Node) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	if code, err := serve.DecodeBody(w, r, maxBodyBytes(n.cfg.Params.Dim), v); err != nil {
+		fail(w, code, "%v", err)
+		return false
+	}
+	return true
+}
+
 // rankErrStatus maps an engine error to the HTTP status the router's
 // typed failure classification expects: 400 for arcs the engine refuses
 // (the client's input, not the node, is at fault), 504 for
@@ -224,8 +242,7 @@ func (n *Node) handleScan(w http.ResponseWriter, r *http.Request) {
 	n.inflight.Add(1)
 	defer n.inflight.Add(-1)
 	var req ScanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	if !n.decode(w, r, &req) {
 		return
 	}
 	if req.K <= 0 {
@@ -236,8 +253,8 @@ func (n *Node) handleScan(w http.ResponseWriter, r *http.Request) {
 	if k > n.cfg.MaxK {
 		k = n.cfg.MaxK
 	}
-	if len(req.Arcs) == 0 {
-		fail(w, http.StatusBadRequest, "at least one arc is required")
+	if len(req.Arcs) == 0 || len(req.Arcs) > serve.MaxDisjuncts {
+		fail(w, http.StatusBadRequest, "want 1 to %d arcs, got %d", serve.MaxDisjuncts, len(req.Arcs))
 		return
 	}
 	d := n.cfg.Params.Dim
@@ -356,8 +373,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	if !n.decode(w, r, &req) {
 		return
 	}
 	root, err := serve.Compile(serve.QueryForm{SPARQL: req.SPARQL, Query: req.Query, Structure: req.Structure, Seed: req.Seed},

@@ -17,7 +17,7 @@ const (
 	StageParse        = "parse"         // body decode + compile to a query DAG
 	StageCanonicalize = "canonicalize"  // canonical key + cache key derivation
 	StageCacheLookup  = "cache_lookup"  // answer-cache probe
-	StageQueueWait    = "queue_wait"    // waiting for a ranking worker
+	StageQueueWait    = "queue_wait"    // waiting for a ranking slot
 	StagePrepareArcs  = "prepare_arcs"  // query embedding + arc preparation
 	StageShardScatter = "shard_scatter" // parallel shard scans (sharded path)
 	StageHeapMerge    = "heap_merge"    // k-way merge of per-shard heaps
@@ -37,9 +37,9 @@ type StageTiming struct {
 // nothing, so instrumentation points need no nil checks — tracing costs
 // two time.Now calls per stage when enabled, nothing when not.
 //
-// A trace is handed between the HTTP goroutine and the ranking worker,
-// but never used by both at once (the handler blocks on the pool);
-// the mutex makes misuse safe rather than racy.
+// A trace is written by the request's goroutine, which also runs the
+// ranking layers; the mutex makes misuse from another goroutine safe
+// rather than racy.
 type Trace struct {
 	mu       sync.Mutex
 	start    time.Time

@@ -29,6 +29,14 @@ func (d *Drain) Enter() bool {
 // Exit ends a unit of work registered by Enter.
 func (d *Drain) Exit() { d.wg.Done() }
 
+// Closed reports whether Close has begun, so registered work that has
+// not started yet can give up.
+func (d *Drain) Closed() bool {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.closed
+}
+
 // Scatter runs fn(0), …, fn(n-1) concurrently as counted work and
 // returns once all have; false, calling nothing, once Close has begun.
 func (d *Drain) Scatter(n int, fn func(i int)) bool {

@@ -331,8 +331,9 @@ func TestRaceUnhedgedRunsInline(t *testing.T) {
 }
 
 // TestDrainCloseWaitsForAbandonedAttempts: a race returns without its
-// loser, and Close waits for the loser before returning; afterwards no
-// goroutine is left and new work is refused.
+// loser, and Close waits for the loser before returning, reporting
+// Closed while it waits; afterwards no goroutine is left and new work is
+// refused.
 func TestDrainCloseWaitsForAbandonedAttempts(t *testing.T) {
 	before := runtime.NumGoroutine()
 	release := make(chan struct{})
@@ -344,6 +345,9 @@ func TestDrainCloseWaitsForAbandonedAttempts(t *testing.T) {
 	if got, ok := race(t, &d, context.Background(), []string{"a", "b"}, f); !ok || got != "b" {
 		t.Fatalf("race = (%q, %v), want b", got, ok)
 	}
+	if d.Closed() {
+		t.Fatal("Closed before Close")
+	}
 	closed := make(chan struct{})
 	go func() {
 		d.Close()
@@ -353,6 +357,11 @@ func TestDrainCloseWaitsForAbandonedAttempts(t *testing.T) {
 	case <-closed:
 		t.Fatal("Close returned while an abandoned attempt still ran")
 	case <-time.After(20 * time.Millisecond):
+	}
+	for wait := time.Now().Add(2 * time.Second); !d.Closed(); time.Sleep(time.Millisecond) {
+		if time.Now().After(wait) {
+			t.Fatal("Closed false while Close waits")
+		}
 	}
 	close(release)
 	<-closed

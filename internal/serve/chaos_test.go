@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/halk-kg/halk/internal/halk"
 	"github.com/halk-kg/halk/internal/obs"
+	"github.com/halk-kg/halk/internal/query"
 	"github.com/halk-kg/halk/internal/resil"
 	"github.com/halk-kg/halk/internal/shard"
 )
@@ -165,20 +167,23 @@ func TestChaosMatrix(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicIsolated pins the worker-pool recovery path: a panic
-// on the ranking worker answers that request with a 500, increments
-// halk_panics_total{where="worker"}, and the pool worker survives to
-// serve the next request.
+// TestWorkerPanicIsolated pins the ranking recovery path: a panic while
+// ranking answers that request with a 500, increments
+// halk_panics_total{where="worker"}, and releases the request's slot so
+// the next request is served.
 func TestWorkerPanicIsolated(t *testing.T) {
 	inj := resil.NewInjector()
 	_, ts := newChaosServer(t, inj, func(cfg *Config, _ *shard.Options) {
-		cfg.Workers = 1 // one worker: if the panic killed it, the retry would hang
+		cfg.Workers = 1 // one slot: if the panic kept it, the next request would time out
 	})
 	inj.Set(FaultStageRank, 0, resil.Fault{Kind: resil.KindPanic, Count: 1})
 
 	code, _, _ := postRaw(t, ts, queryRequest{Structure: "1p", Seed: 9, K: 5})
 	if code != http.StatusInternalServerError {
 		t.Fatalf("panicked ranking: status %d, want 500", code)
+	}
+	if code, _, _ := postRaw(t, ts, queryRequest{Structure: "1p", Seed: 10, K: 5, TimeoutMS: 2000}); code != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, want 200 within its deadline", code)
 	}
 
 	res, err := http.Get(ts.URL + "/metrics")
@@ -191,6 +196,132 @@ func TestWorkerPanicIsolated(t *testing.T) {
 		t.Fatalf("worker panic not counted; /metrics:\n%s", metricsText)
 	}
 	checkHealthy(t, ts)
+}
+
+// blockingRanker holds every RankTopK until release is closed (or the
+// request's deadline passes) and records how many ran and how many at
+// once.
+type blockingRanker struct {
+	release chan struct{}
+
+	mu                   sync.Mutex
+	calls, running, peak int
+}
+
+func (b *blockingRanker) RankTopK(ctx context.Context, _ *query.Node, _ int) (*shard.Result, error) {
+	b.mu.Lock()
+	b.calls++
+	b.running++
+	b.peak = max(b.peak, b.running)
+	b.mu.Unlock()
+	defer func() {
+		b.mu.Lock()
+		b.running--
+		b.mu.Unlock()
+	}()
+	select {
+	case <-b.release:
+		return &shard.Result{}, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+func (b *blockingRanker) counts() (calls, peak int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.calls, b.peak
+}
+
+func (*blockingRanker) SnapshotVersion() uint64        { return 0 }
+func (*blockingRanker) NumShards() int                 { return 0 }
+func (*blockingRanker) ShardStats() []shard.ShardStats { return nil }
+
+// postStatus posts the query and returns the response status; unlike
+// postRaw it may run off the test goroutine.
+func postStatus(ts *httptest.Server, req queryRequest) (int, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return 0, err
+	}
+	res, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	defer res.Body.Close()
+	_, _ = io.Copy(io.Discard, res.Body)
+	return res.StatusCode, nil
+}
+
+// TestRankingSlotsAndClose pins the ranking concurrency contract: with
+// Workers = 2, five concurrent cache misses run at most two rankings at
+// once while the admission count reads all five, and Close while two
+// rank and three wait lets the two finish with 200 and refuses the
+// three, like every later request, with 503.
+func TestRankingSlotsAndClose(t *testing.T) {
+	br := &blockingRanker{release: make(chan struct{})}
+	s, _, _, ts := newTestServer(t, func(cfg *Config) {
+		cfg.Workers = 2
+		cfg.Ranker = br
+		// A gate that sheds nothing here (it predicts at most 200ms of
+		// wait from its 100ms cold-start estimate), for its count.
+		cfg.MaxQueueWait = time.Minute
+	})
+	codes := make(chan int, 5)
+	for i := range 5 {
+		go func() {
+			code, err := postStatus(ts, queryRequest{Structure: "1p", Seed: int64(1 + i), K: 3})
+			if err != nil {
+				t.Error(err)
+			}
+			codes <- code
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		calls, _ := br.counts()
+		admitted := getStats(t, ts).Admission.Inflight
+		if calls == 2 && admitted == 5 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d rankings started and %d requests admitted, want 2 and 5", calls, admitted)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	// Close has begun once a later request is refused; until then a
+	// short-deadline request times out waiting for a slot.
+	for {
+		code, err := postStatus(ts, queryRequest{Structure: "1p", Seed: 100, K: 3, TimeoutMS: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code == http.StatusServiceUnavailable {
+			break
+		}
+		if code != http.StatusGatewayTimeout || time.Now().After(deadline) {
+			t.Fatalf("request while Close begins: status %d, want 504 then 503", code)
+		}
+	}
+	close(br.release)
+	<-closed
+
+	got := map[int]int{}
+	for range 5 {
+		got[<-codes]++
+	}
+	if got[http.StatusOK] != 2 || got[http.StatusServiceUnavailable] != 3 {
+		t.Fatalf("statuses %v, want two 200 and three 503", got)
+	}
+	if calls, peak := br.counts(); calls != 2 || peak != 2 {
+		t.Fatalf("%d rankings, %d at once; want 2 and 2", calls, peak)
+	}
 }
 
 // TestBreakerOpensAndRecoversEndToEnd drives the circuit breaker
@@ -463,24 +594,20 @@ func TestRecoverHandlerCommittedResponse(t *testing.T) {
 // fall back to a conservative estimate and still shed a deep queue —
 // not admit without bound because the predicted wait is 0.
 func TestAdmissionColdStartSheds(t *testing.T) {
-	g := newAdmission(2, 10*time.Millisecond, obs.NewRegistry())
-	var releases []func(float64)
+	g := newLimiter(2, 10*time.Millisecond, obs.NewRegistry())
+	admitted := int64(0)
 	for i := 0; i < 3; i++ {
-		rel, _, ok := g.admit(context.Background())
-		if !ok {
+		if _, ok := g.admit(context.Background(), admitted+1); !ok {
 			// The third admit holds the first queue slot; with the
 			// cold-start estimate even one queued request may shed under
 			// a 10ms budget — both outcomes before the probe are fine.
 			break
 		}
-		releases = append(releases, rel)
+		admitted++
 	}
-	if _, retry, ok := g.admit(context.Background()); ok {
+	if retry, ok := g.admit(context.Background(), admitted+1); ok {
 		t.Fatal("cold gate admitted into a saturated queue (predicted wait 0)")
 	} else if retry <= 0 {
 		t.Fatalf("shed without a Retry-After hint: %v", retry)
-	}
-	for _, rel := range releases {
-		rel(0)
 	}
 }

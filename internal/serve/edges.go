@@ -71,7 +71,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req edgesRequest
-	if code, err := s.decodeBody(w, r, &req); err != nil {
+	if code, err := DecodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
 		fail(code, "%v", err)
 		return
 	}
@@ -129,10 +129,11 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeBody decodes a JSON request body under the server's body-size
-// limit. An over-limit body maps to 413, malformed JSON to 400.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+// DecodeBody decodes a JSON request body of at most limit bytes. An
+// over-limit body maps to 413, malformed JSON to 400. Exported for the
+// cluster node frontend, which bounds its bodies the same way.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {

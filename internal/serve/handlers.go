@@ -91,8 +91,8 @@ const (
 	// FaultStageCachePut fires before storing an answer; an injected
 	// error skips the store (the response is still served).
 	FaultStageCachePut = "serve.cache.put"
-	// FaultStageRank fires on a pool worker before ranking; an injected
-	// panic exercises the worker recovery path.
+	// FaultStageRank fires in the request's ranking slot before ranking;
+	// an injected panic exercises the ranking recovery path.
 	FaultStageRank = "serve.rank"
 )
 
@@ -159,17 +159,18 @@ type QueryForm struct {
 	Seed      int64
 }
 
-// maxDisjuncts caps query.DNFWidth of a served query. The DNF rewrite
+// MaxDisjuncts caps query.DNFWidth of a served query. The DNF rewrite
 // multiplies disjuncts across an intersection, so a body of a few
 // hundred bytes (an intersection of 16 two-way unions) would expand to
 // 65 536 disjuncts and each further union doubles that, until the
 // process runs out of memory. Every structure of the paper's benchmark
-// has at most 2.
-const maxDisjuncts = 64
+// has at most 2. Exported for the cluster node, whose /v1/scan refuses
+// more arcs than this.
+const MaxDisjuncts = 64
 
 // Compile turns the form into a query computation DAG against the
 // serving dictionaries. graph may be nil, which disables the structure
-// form. A query whose DNF rewrite builds more than maxDisjuncts
+// form. A query whose DNF rewrite builds more than MaxDisjuncts
 // disjuncts at some node is refused. Exported for the cluster node
 // frontend, whose /v1/query accepts the same forms.
 func Compile(f QueryForm, entities, relations *kg.Dict, graph *kg.Graph) (*query.Node, error) {
@@ -177,8 +178,8 @@ func Compile(f QueryForm, entities, relations *kg.Dict, graph *kg.Graph) (*query
 	if err != nil {
 		return nil, err
 	}
-	if w := query.DNFWidth(root); w > maxDisjuncts {
-		return nil, fmt.Errorf("query expands to more than %d disjuncts in its DNF rewrite", maxDisjuncts)
+	if w := query.DNFWidth(root); w > MaxDisjuncts {
+		return nil, fmt.Errorf("query expands to more than %d disjuncts in its DNF rewrite", MaxDisjuncts)
 	}
 	return root, nil
 }
@@ -307,11 +308,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Model:     s.cfg.Model.Name(),
 		Entities:  s.cfg.Entities.Len(),
 		UptimeS:   uptime,
-		Workers:   s.workers,
+		Workers:   s.cfg.Workers,
 		Endpoints: endpoints,
 		Cache:     s.cache.stats(),
 		NumShards: s.cfg.Ranker.NumShards(),
 		Shards:    s.cfg.Ranker.ShardStats(),
+		Admission: s.lim.snapshot(),
 	}
 	if s.cfg.Ckpt != nil {
 		snap := s.cfg.Ckpt.Snapshot()
@@ -322,9 +324,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if tm, ok := s.cfg.Ranker.(TopologyManager); ok {
 		resp.TopologyVersion = tm.TopologyVersion()
-	}
-	if s.gate != nil {
-		resp.Admission = s.gate.snapshot()
 	}
 	if s.cfg.Edges != nil {
 		st := s.cfg.Edges.Stats()

@@ -26,7 +26,7 @@ type metrics struct {
 	batchQueries *obs.Counter
 	batchCached  *obs.Counter
 	slow         *obs.Counter
-	// workerPanics counts panics recovered on pool workers (the request
+	// workerPanics counts panics recovered in ranking slots (the request
 	// got a 500); handlerPanics counts panics recovered at the HTTP
 	// middleware (e.g. a poisoned cache layer).
 	workerPanics  *obs.Counter

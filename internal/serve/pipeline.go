@@ -54,7 +54,7 @@ func (q *request) decode(v any) bool {
 		return false
 	}
 	q.tr.Begin(obs.StageParse)
-	if code, err := q.s.decodeBody(q.w, q.r, v); err != nil {
+	if code, err := DecodeBody(q.w, q.r, q.s.cfg.MaxBodyBytes, v); err != nil {
 		q.fail(code, "%v", err)
 		return false
 	}
@@ -65,8 +65,8 @@ func (q *request) decode(v any) bool {
 // requested K): it resolves k, derives the version-namespaced cache key
 // — one namespace for both endpoints, so a query answered through either
 // warms the cache for both — probes the cache per slot, and ranks the
-// misses as one unit of work: one admission slot, one pool task. It
-// reports how many slots the cache covered; on false the failure
+// misses as one unit of work under one limiter slot. It reports how
+// many of the request's slots the cache covered; on false the failure
 // response is already written.
 func (q *request) answer(timeoutMS int, slots []batchResult) (hits int, ok bool) {
 	s := q.s
@@ -111,42 +111,24 @@ func (q *request) answer(timeoutMS int, slots []batchResult) (hits int, ok bool)
 	ctx, cancel := context.WithTimeout(q.r.Context(), timeout)
 	defer cancel()
 
-	// svcMs is the ranking service time this request observed, fed back
-	// into the admission gate's EWMA on release (0 = request never ranked).
-	var svcMs float64
-	if s.gate != nil {
-		release, retryAfter, admitted := s.gate.admit(ctx)
-		if !admitted {
-			secs := int(retryAfter/time.Second) + 1
-			q.w.Header().Set("Retry-After", strconv.Itoa(secs))
-			q.fail(http.StatusTooManyRequests,
-				"expected queue wait %v exceeds the request deadline; retry later", retryAfter.Round(time.Millisecond))
-			return hits, false
-		}
-		defer func() { release(svcMs) }()
-	}
-
-	// The trace rides the context so the ranking layers (worker pool,
-	// sharded engine, full scan) annotate their own stages onto it.
+	// The trace rides the context so the limiter (queue_wait) and the
+	// ranking layers (sharded engine, full scan) annotate their own
+	// stages onto it.
 	ctx = obs.NewContext(ctx, q.tr)
-	q.tr.Begin(obs.StageQueueWait)
-	var rankErr error
-	poolErr := s.pool.Do(ctx, func() {
-		q.tr.End() // a worker picked the task up: queue wait is over
-		svcStart := time.Now()
-		rankErr = s.rankMisses(ctx, slots)
-		svcMs = float64(time.Since(svcStart)) / float64(time.Millisecond)
-	})
-	if err := firstErr(poolErr, rankErr); err != nil {
+	if err := s.lim.Do(ctx, func() error { return s.rankMisses(ctx, slots) }); err != nil {
+		var shed *shedError
 		var pe *PanicError
 		switch {
+		case errors.As(err, &shed):
+			q.w.Header().Set("Retry-After", strconv.Itoa(int(shed.wait/time.Second)+1))
+			q.fail(http.StatusTooManyRequests,
+				"expected queue wait %v exceeds the request deadline; retry later", shed.wait.Round(time.Millisecond))
 		case errors.As(err, &pe):
-			// The worker recovered the panic and survives; this request is
-			// the only casualty.
+			// Recovered where it ran; this request is the only casualty.
 			s.metrics.workerPanics.Inc()
-			s.cfg.PanicLog.Printf("serve: recovered panic on ranking worker: %v\n%s", pe.Value, pe.Stack)
+			s.cfg.PanicLog.Printf("serve: recovered panic while ranking: %v\n%s", pe.Value, pe.Stack)
 			q.fail(http.StatusInternalServerError, "internal error while ranking")
-		case errors.Is(err, errPoolClosed):
+		case errors.Is(err, errClosed):
 			q.fail(http.StatusServiceUnavailable, "server is draining")
 		case errors.Is(err, shard.ErrAllShardsSkipped):
 			q.fail(http.StatusGatewayTimeout, "every shard missed its deadline")
@@ -177,11 +159,11 @@ func (q *request) answer(timeoutMS int, slots []batchResult) (hits int, ok bool)
 	return hits, true
 }
 
-// rankMisses runs on a pool worker and fills every slot the cache did
-// not cover: one query embedding plus one entity ranking each. More than
-// one miss goes through a single RankBatch gather when the ranker
-// batches (BatchRanker); otherwise each miss ranks alone through
-// RankTopK, with identical results.
+// rankMisses runs while the request holds its limiter slot and fills
+// every request slot the cache did not cover: one query embedding plus
+// one entity ranking each. More than one miss goes through a single
+// RankBatch gather when the ranker batches (BatchRanker); otherwise each
+// miss ranks alone through RankTopK, with identical results.
 func (s *Server) rankMisses(ctx context.Context, slots []batchResult) error {
 	var miss []*batchResult
 	for i := range slots {
@@ -260,13 +242,4 @@ func (q *request) finish(resp reply) {
 		q.s.cfg.SlowLog.Printf("serve: slow %s (%.1fms >= %v): %s trace: %s",
 			q.noun, elapsed, thr, resp.slowLine(), q.tr)
 	}
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -356,9 +356,9 @@ func TestCloseDrainsAndRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	err = s.pool.Do(context.Background(), func() {})
-	if err != errPoolClosed {
-		t.Fatalf("Do after Close: %v, want errPoolClosed", err)
+	err = s.lim.Do(context.Background(), func() error { return nil })
+	if err != errClosed {
+		t.Fatalf("Do after Close: %v, want errClosed", err)
 	}
 
 	ts := httptest.NewServer(s.Handler())
@@ -387,7 +387,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.workers < 1 {
+	if s.Workers() < 1 {
 		t.Error("workers not defaulted")
 	}
 	// Structure mode without a graph must 400, not panic.

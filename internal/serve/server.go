@@ -7,15 +7,16 @@
 // entity.
 //
 // /v1/query and /v1/batch are one pipeline (request.answer): resolve k →
-// version-namespaced cache key → cache probe → one admission slot and
-// one pool task ranking the misses through Config.Ranker → partial
-// answers never cached → trace fold and slow log. A /v1/query is a batch
-// of one; the handlers only decode and encode their own shapes.
+// version-namespaced cache key → cache probe → one limiter slot, ranking
+// the misses through Config.Ranker on the request's own goroutine →
+// partial answers never cached → trace fold and slow log. A /v1/query is
+// a batch of one; the handlers only decode and encode their own shapes.
 //
 // The Server composes:
 //
-//   - a bounded worker pool sized to GOMAXPROCS, so concurrent requests
-//     share the ranking hot loop without unbounded goroutines;
+//   - a slot limiter sized to GOMAXPROCS, so concurrent requests share
+//     the ranking hot loop without ranking more at once than there are
+//     cores, behind an optional deadline-aware admission gate;
 //   - one exact Ranker: Config.Ranker, or by default a full scan over
 //     Config.Model behind the same interface;
 //   - an LRU answer cache keyed by query.CanonicalKey, so logically
@@ -116,7 +117,7 @@ type Config struct {
 	// SlowLog receives slow-query lines; nil means log.Default().
 	SlowLog *log.Logger
 	// MaxQueueWait enables admission control: a request whose expected
-	// worker-queue wait exceeds min(MaxQueueWait, its own remaining
+	// wait for a ranking slot exceeds min(MaxQueueWait, its own remaining
 	// deadline) is shed up front with 429 and a Retry-After hint instead
 	// of queueing toward a timeout. 0 disables the gate.
 	MaxQueueWait time.Duration
@@ -125,8 +126,8 @@ type Config struct {
 	// FaultStage* constants) so chaos tests can inject panics, stalls and
 	// errors. Nil — the production configuration — is inert.
 	Faults *resil.Injector
-	// PanicLog receives the stack traces of recovered panics (worker
-	// pool and HTTP handlers); nil means log.Default().
+	// PanicLog receives the stack traces of recovered panics (ranking
+	// and HTTP handlers); nil means log.Default().
 	PanicLog *log.Logger
 	// Ckpt, when set, surfaces checkpoint freshness in /v1/stats (path,
 	// training step, load time, reload and reload-failure counters).
@@ -158,15 +159,13 @@ const DefaultMaxBatch = 256
 // All methods are safe for concurrent use.
 type Server struct {
 	cfg     Config
-	pool    *workerPool
+	lim     *limiter
 	cache   *answerCache
 	metrics *metrics
-	gate    *admission // nil when MaxQueueWait is 0
-	workers int
 	mux     *http.ServeMux
 }
 
-// New validates cfg and assembles the server with its worker pool,
+// New validates cfg and assembles the server with its slot limiter,
 // cache, metrics and routes.
 func New(cfg Config) (*Server, error) {
 	if cfg.Model == nil {
@@ -212,19 +211,15 @@ func New(cfg Config) (*Server, error) {
 		cfg.PanicLog = log.Default()
 	}
 	obs.RegisterProcessMetrics(cfg.Metrics)
-	cfg.Metrics.Gauge("halk_workers", "Ranking worker pool size.").Set(float64(cfg.Workers))
+	cfg.Metrics.Gauge("halk_workers", "Ranking slots: requests that may rank at once.").Set(float64(cfg.Workers))
 	cfg.Metrics.Gauge("halk_entities", "Entities in the served model.").Set(float64(cfg.Entities.Len()))
 
 	s := &Server{
 		cfg:     cfg,
-		pool:    newWorkerPool(cfg.Workers),
 		cache:   newAnswerCache(cfg.CacheSize, cfg.Metrics),
 		metrics: newMetrics(cfg.Metrics),
-		workers: cfg.Workers,
+		lim:     newLimiter(cfg.Workers, cfg.MaxQueueWait, cfg.Metrics),
 		mux:     http.NewServeMux(),
-	}
-	if cfg.MaxQueueWait > 0 {
-		s.gate = newAdmission(cfg.Workers, cfg.MaxQueueWait, cfg.Metrics)
 	}
 	s.mux.HandleFunc("/v1/query", s.recoverHandler("/v1/query", s.handleQuery))
 	s.mux.HandleFunc("/v1/batch", s.recoverHandler("/v1/batch", s.handleBatch))
@@ -302,8 +297,8 @@ func (s *Server) Metrics() *obs.Registry { return s.cfg.Metrics }
 // /v1/stats; mount it on an http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Workers reports the resolved ranking-pool size.
-func (s *Server) Workers() int { return s.workers }
+// Workers reports the resolved number of ranking slots.
+func (s *Server) Workers() int { return s.cfg.Workers }
 
 // FlushCache drops every cached answer list. For models implementing
 // EntityVersioner (halk.Model does), embedding updates already make old
@@ -312,13 +307,13 @@ func (s *Server) Workers() int { return s.workers }
 // versioning.
 func (s *Server) FlushCache() { s.cache.Flush() }
 
-// Close drains the worker pool — in-flight rankings finish, queued and
+// Close drains the limiter — in-flight rankings finish, queued and
 // future requests are refused with 503 — then drains the ranker's scan
 // goroutines (hedged and scatter scans that outlived their gather), so
 // a closed server leaks nothing. Shut the http.Server down first so no
-// new requests are accepted while the pool drains.
+// new requests are accepted while the limiter drains.
 func (s *Server) Close() {
-	s.pool.Close()
+	s.lim.drain.Close()
 	if c, ok := s.cfg.Ranker.(interface{ Close() }); ok {
 		c.Close()
 	}
