@@ -23,6 +23,43 @@ import (
 // rounding-mode, or vector-width divergence that changed an answer
 // would trip the Float64bits comparisons here.
 
+// identityEntities sizes the suite's table: four shards of 1024 rows,
+// the shard engine's crossover below which a shard scans with the
+// scalar loop. Every shard count used here thus runs the blocked
+// kernel; rankBothKernels and TestKernelIdentityBatch check that it did.
+const identityEntities = 4096
+
+// identityModel is testModel over an FB237-shaped graph of
+// identityEntities entities.
+func identityModel(t *testing.T, seed int64) (*Model, *kg.Dataset) {
+	t.Helper()
+	ds := kg.Synth(kg.SynthConfig{
+		Name:          "FB237-4k",
+		NumEntities:   identityEntities,
+		NumRelations:  30,
+		NumTypes:      8,
+		HeadFrac:      0.5,
+		MeanFanout:    2,
+		OneToManyFrac: 0.25,
+		ManyFanout:    6,
+		ValidFrac:     0.1,
+		TestFrac:      0.1,
+		Seed:          seed,
+	})
+	return New(ds.Train, testConfig(seed)), ds
+}
+
+// assertBlockedRan fails unless every shard of r offered lanes to the
+// blocked float32 filter.
+func assertBlockedRan(t *testing.T, r *ShardedRanker, label string) {
+	t.Helper()
+	for i, st := range r.ShardStats() {
+		if st.FilterLanes == 0 {
+			t.Fatalf("%s: shard %d scanned without the blocked filter", label, i)
+		}
+	}
+}
+
 // identityStructures is the full structure matrix the identity suite
 // sweeps: every EPFO+difference structure, every negation structure and
 // every large structure — 1p through 3ippd.
@@ -36,7 +73,8 @@ func identityStructures() []string {
 
 // rankBothKernels ranks q at k through a blocked and a scalar-pinned
 // engine over the same model state and fails unless the two results are
-// bit-identical; it returns the blocked result for further checks.
+// bit-identical and the blocked engine ran its filter on every shard; it
+// returns the blocked result for further checks.
 func rankBothKernels(t *testing.T, m *Model, shards int, q *query.Node, k int, structure string) *shard.Result {
 	t.Helper()
 	blocked, err := m.NewShardedRanker(shard.Options{Shards: shards})
@@ -61,6 +99,7 @@ func rankBothKernels(t *testing.T, m *Model, shards int, q *query.Node, k int, s
 	if bres.Partial || sres.Partial {
 		t.Fatalf("%s shards=%d: unexpected partial result", structure, shards)
 	}
+	assertBlockedRan(t, blocked, structure)
 	if len(bres.IDs) != len(sres.IDs) {
 		t.Fatalf("%s shards=%d: blocked returned %d answers, scalar %d", structure, shards, len(bres.IDs), len(sres.IDs))
 	}
@@ -80,7 +119,7 @@ func rankBothKernels(t *testing.T, m *Model, shards int, q *query.Node, k int, s
 // blocked kernel == scalar kernel == Model.TopK, bit for bit, at shard
 // counts that do and do not divide the entity count.
 func TestKernelIdentityStructureMatrix(t *testing.T) {
-	m, ds := testModel(t, 81)
+	m, ds := identityModel(t, 81)
 	s := query.NewSampler(ds.Train, rand.New(rand.NewSource(82)))
 	const k = 12
 	for _, structure := range identityStructures() {
@@ -112,7 +151,7 @@ func TestKernelIdentityStructureMatrix(t *testing.T) {
 // item, exactly what RankTopK returns for that query alone, on both
 // kernels, bit for bit.
 func TestKernelIdentityBatch(t *testing.T) {
-	m, ds := testModel(t, 83)
+	m, ds := identityModel(t, 83)
 	s := query.NewSampler(ds.Train, rand.New(rand.NewSource(84)))
 	structures := []string{"1p", "2p", "2i", "3i", "pi", "2u", "2d", "2in", "pni", "3ippd"}
 	roots := make([]*query.Node, 0, len(structures))
@@ -137,6 +176,9 @@ func TestKernelIdentityBatch(t *testing.T) {
 			}
 			if len(batch) != len(roots) {
 				t.Fatalf("RankBatch returned %d results for %d queries", len(batch), len(roots))
+			}
+			if !scalarKernel {
+				assertBlockedRan(t, r, "RankBatch")
 			}
 			for i := range roots {
 				lone, err := r.RankTopK(context.Background(), roots[i], ks[i])

@@ -63,8 +63,9 @@ func (r *ShardedRanker) Refresh() error {
 // snapshot. Dirty IDs are global, so entities outside the hosted range
 // leave every shard shared — each cluster node folds the same dirty set
 // against its own slice. The published result is byte-identical to a
-// full Refresh — the savings are build cost (trig tables only for
-// touched shards), not served answers. An empty dirty set still
+// full Refresh — the savings are build cost (float32 planes or trig
+// tables only for touched shards; the shared ones are re-pointed at the
+// new view's rows), not served answers. An empty dirty set still
 // republishes the new version. When the view changed in a way no dirty
 // list describes since the engine's snapshot (a reload, a training step,
 // SetEntityAnglesBatch, MarkEntitiesUpdated), every shard is rebuilt.

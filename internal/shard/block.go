@@ -24,10 +24,12 @@ import (
 //     Every lane accumulates a float32 lower bound on its distance
 //     across all dimensions in one dense sweep.
 //
-// Lanes whose bound beats the pruning limit are rescored exactly by the
-// scalar float64 scoreLocal — in ascending order of their bounds, so the
-// strongest candidates tighten the limit before their block-mates are
-// re-checked against it. Retained results are bit-identical to a full
+// Lanes whose bound beats the pruning limit are rescored exactly, in
+// ascending order of their bounds, so the strongest candidates tighten
+// the limit before their block-mates are re-checked against it. The
+// rescore (rescoreLane) takes a lane's float64 cos/sin from its angle
+// row with math.Sincos — the bits math.Cos and math.Sin give, which the
+// scalar loop's tables hold — and scores them with Score. Retained results are bit-identical to a full
 // scalar scan: float32 rounding can only misclassify a lane as a
 // survivor (wasted exact work), never drop one, because the filter
 // comparisons carry Engine.slack — an upper bound on how far the float32
@@ -39,10 +41,12 @@ import (
 const blockSize = 64
 
 // buildBlocked derives the blocked float32 planes and per-block
-// envelopes from a shard's float64 trig tables. Lanes past the last
-// entity are padded with angle 0; padding never reaches scoring (the
-// active-lane sets stop at the real lane count) and never widens an
-// envelope.
+// envelopes from a shard's angle rows. The float64 cos/sin of each
+// angle lives only long enough to be rounded into the plane and folded
+// into the envelope; the shard keeps no float64 table. Lanes past the
+// last entity are padded with angle 0; padding never reaches scoring
+// (the active-lane sets stop at the real lane count) and never widens
+// an envelope.
 func buildBlocked(sd *shardData, dim int) {
 	ents := sd.hi - sd.lo
 	if ents == 0 {
@@ -64,7 +68,7 @@ func buildBlocked(sd *shardData, dim int) {
 			for t := 0; t < blockSize; t++ {
 				c, s := 1.0, 0.0
 				if li := b*blockSize + t; li < ents {
-					c, s = sd.cos[li*dim+j], sd.sin[li*dim+j]
+					s, c = math.Sincos(sd.angles[li*dim+j])
 					cMin, cMax = min(cMin, c), max(cMax, c)
 					sMin, sMax = min(sMin, s), max(sMax, s)
 				}
@@ -188,9 +192,9 @@ func (e *Engine) scanBlocked(ctx context.Context, i int, sd *shardData, spec *ba
 	if ents == 0 {
 		return nil
 	}
-	scr := e.getScratch(i, len(spec.items), ents)
+	scr := e.getScratch(i, len(spec.items), ents, e.p.Dim)
 	defer e.scratch[i].Put(scr)
-	envMiss, lows, idx := scr.envMiss, scr.lows, scr.idx
+	envMiss, lows, idx, row := scr.envMiss, scr.lows, scr.idx, scr.row
 	for b := 0; b < sd.blocks; b++ {
 		// One check per (block × batch) keeps cancellation latency within
 		// blockSize×len(items) entity scores — comparable to
@@ -209,7 +213,7 @@ func (e *Engine) scanBlocked(ctx context.Context, i int, sd *shardData, spec *ba
 				// have a bound to prune against. The full heap's root is a
 				// valid upper bound on the global k-th best — it upper-
 				// bounds even this block's k-th best.
-				e.bootScore(sd, spec.items[qi].Arcs, spec.items[qi].K, lows[qi*ents:qi*ents+lanes], idx, heaps[qi], &gbounds[qi], sc)
+				e.bootScore(sd, spec.items[qi].Arcs, spec.items[qi].K, lows[qi*ents:qi*ents+lanes], idx, row, heaps[qi], &gbounds[qi], sc)
 			}
 		}
 	}
@@ -217,7 +221,7 @@ func (e *Engine) scanBlocked(ctx context.Context, i int, sd *shardData, spec *ba
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		e.rescoreQuery(sd, spec.items[qi].Arcs, spec.items[qi].K, lows[qi*ents:(qi+1)*ents], idx, heaps[qi], &gbounds[qi], sc)
+		e.rescoreQuery(sd, spec.items[qi].Arcs, spec.items[qi].K, lows[qi*ents:(qi+1)*ents], idx, row, heaps[qi], &gbounds[qi], sc)
 	}
 	return nil
 }
@@ -233,13 +237,17 @@ type scanScratch struct {
 	// never touch (envelope-skipped, or already exact-scored).
 	lows []float32
 	idx  []int32 // lane-selection buffer of bootScore and rescoreQuery
+	// row receives a survivor's float64 cos (first dim) and sin (second
+	// dim) for its exact rescore.
+	row []float64
 }
 
 // getScratch takes shard i's scan scratch from its pool, grown where a
 // previous scan's buffers are too small. envMiss starts zeroed; lows
 // comes back dirty, which is sound because the sweep writes every lane
-// of every (query, block) before anything reads it (see sweepBlock).
-func (e *Engine) getScratch(i, items, ents int) *scanScratch {
+// of every (query, block) before anything reads it (see sweepBlock), and
+// so does row, which rescoreLane fills whole before Score reads it.
+func (e *Engine) getScratch(i, items, ents, dim int) *scanScratch {
 	s, _ := e.scratch[i].Get().(*scanScratch)
 	if s == nil {
 		s = &scanScratch{}
@@ -248,6 +256,7 @@ func (e *Engine) getScratch(i, items, ents int) *scanScratch {
 	clear(s.envMiss)
 	s.lows = slices.Grow(s.lows[:0], items*ents)[:items*ents]
 	s.idx = slices.Grow(s.idx[:0], ents)
+	s.row = slices.Grow(s.row[:0], 2*dim)[:2*dim]
 	return s
 }
 
@@ -259,7 +268,7 @@ func (e *Engine) getScratch(i, items, ents int) *scanScratch {
 // lows and no exact scores. Bounded insertion keeps sel the k smallest,
 // ascending; NaN bounds compare false everywhere, so both guards reject
 // already-scored and envelope-skipped lanes.
-func (e *Engine) bootScore(sd *shardData, arcs []Arc, k int, lows []float32, idx []int32, h *topK, gbound *Bound, sc *scanCounters) {
+func (e *Engine) bootScore(sd *shardData, arcs []Arc, k int, lows []float32, idx []int32, row []float64, h *topK, gbound *Bound, sc *scanCounters) {
 	if k > len(lows) {
 		k = len(lows)
 	}
@@ -295,7 +304,7 @@ func (e *Engine) bootScore(sd *shardData, arcs []Arc, k int, lows []float32, idx
 			break
 		}
 		sc.survivors++
-		e.scoreLocal(sd, arcs, int(t), h, gbound)
+		e.rescoreLane(sd, arcs, int(t), row, h, gbound)
 		lows[t] = nan
 	}
 }
@@ -400,15 +409,15 @@ func (e *Engine) sweepBlock(sd *shardData, spec *batchSpec, qi, b, lanes int, ds
 // selects every lane whose stored float32 bound beats the pruning limit
 // and rescores them ascending, so the heap tightens fastest and the
 // first lane whose bound clears the re-read limit ends the scan.
-func (e *Engine) rescoreQuery(sd *shardData, arcs []Arc, k int, lows []float32, idx []int32, h *topK, gbound *Bound, sc *scanCounters) {
+func (e *Engine) rescoreQuery(sd *shardData, arcs []Arc, k int, lows []float32, idx []int32, row []float64, h *topK, gbound *Bound, sc *scanCounters) {
 	twoRho32 := e.twoRho32
 	// Rescore the shard's k filter-best lanes first, whatever the bound:
 	// the block-0 bootstrap only saw one block, so its threshold can sit
 	// well above the shard's true k-th best, and selecting against a
-	// loose threshold makes the sorted band below quadratically
-	// expensive. bootScore's break makes this free once the bound is
-	// already tight (a later shard warmed by gbound).
-	e.bootScore(sd, arcs, k, lows, idx, h, gbound, sc)
+	// loose threshold widens the band below. bootScore's break makes
+	// this free once the bound is already tight (a later shard warmed
+	// by gbound).
+	e.bootScore(sd, arcs, k, lows, idx, row, h, gbound, sc)
 	thr := h.bound()
 	if g := gbound.Load(); g < thr {
 		thr = g
@@ -419,9 +428,12 @@ func (e *Engine) rescoreQuery(sd *shardData, arcs []Arc, k int, lows []float32, 
 	}
 
 	// Select the survivors against the limit (NaN bounds always fail),
-	// insertion-sort them ascending — the band above the k-th best is
-	// narrow, so quadratic sorting beats sort.Slice's indirection — and
-	// rescore until one clears the re-read limit.
+	// heap-order them by bound and pop them ascending, rescoring until
+	// one clears the re-read limit. The band selected against the
+	// post-bootstrap limit is far wider than the few lanes rescored
+	// before the tightening limit ends the scan, so only the popped
+	// prefix pays for its order: O(band + rescored·log band), where
+	// sorting the whole band cost a third of the scan on 10k-row shards.
 	lim32 := float32(thr + e.slack)
 	sel := idx[:0]
 	for t := range lows {
@@ -429,16 +441,11 @@ func (e *Engine) rescoreQuery(sd *shardData, arcs []Arc, k int, lows []float32, 
 			sel = append(sel, int32(t))
 		}
 	}
-	for i := 1; i < len(sel); i++ {
-		v := sel[i]
-		lv := lows[v]
-		j := i - 1
-		for ; j >= 0 && lows[sel[j]] > lv; j-- {
-			sel[j+1] = sel[j]
-		}
-		sel[j+1] = v
+	for i := len(sel)/2 - 1; i >= 0; i-- {
+		siftDown(sel, lows, i)
 	}
-	for _, t := range sel {
+	for len(sel) > 0 {
+		t := sel[0]
 		thr = h.bound()
 		if g := gbound.Load(); g < thr {
 			thr = g
@@ -447,8 +454,46 @@ func (e *Engine) rescoreQuery(sd *shardData, arcs []Arc, k int, lows []float32, 
 			break
 		}
 		sc.survivors++
-		e.scoreLocal(sd, arcs, int(t), h, gbound)
+		e.rescoreLane(sd, arcs, int(t), row, h, gbound)
+		last := len(sel) - 1
+		sel[0] = sel[last]
+		sel = sel[:last]
+		siftDown(sel, lows, 0)
 	}
+}
+
+// siftDown restores the min-heap order of sel, keyed by lows, below
+// position i.
+func siftDown(sel []int32, lows []float32, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(sel) {
+			return
+		}
+		if c+1 < len(sel) && lows[sel[c+1]] < lows[sel[c]] {
+			c++
+		}
+		if !(lows[sel[c]] < lows[sel[i]]) {
+			return
+		}
+		sel[i], sel[c] = sel[c], sel[i]
+		i = c
+	}
+}
+
+// rescoreLane exact-scores lane li of a blocked shard. row (2×dim
+// scratch) receives the float64 cos and sin of the lane's angles from
+// math.Sincos, which returns the bits math.Cos and math.Sin do
+// (TestSincosMatchesSinCos), so the distance equals the scalar loop's
+// over its precomputed tables bit for bit.
+func (e *Engine) rescoreLane(sd *shardData, arcs []Arc, li int, row []float64, h *topK, gbound *Bound) {
+	dim := e.p.Dim
+	angles := sd.angles[li*dim : li*dim+dim]
+	cosR, sinR := row[:dim], row[dim:2*dim]
+	for j, a := range angles {
+		sinR[j], cosR[j] = math.Sincos(a)
+	}
+	e.scoreLocal(sd, cosR, sinR, arcs, li, h, gbound)
 }
 
 // arcEnvLB lower-bounds the arc distance of every entity in block b: a

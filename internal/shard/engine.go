@@ -68,12 +68,15 @@ type Options struct {
 	// PanicLog receives the stack trace of recovered scan panics; nil
 	// means the process-default logger.
 	PanicLog *log.Logger
-	// ScalarKernel pins exact scans to the scalar float64 reference loop:
-	// snapshots skip the blocked float32 planes and every entity is
-	// scored by scoreLocal directly. The blocked kernel rescores all
-	// retained entities through the same scalar loop, so both paths
-	// return bit-identical results — this option exists to prove exactly
-	// that (the kernel-identity suite) and as an escape hatch.
+	// ScalarKernel pins exact scans to the scalar float64 reference loop
+	// on every shard: snapshots hold float64 cos/sin tables instead of
+	// the blocked float32 planes, and every entity is scored by Score
+	// directly. Without it only shards below a fixed row count
+	// (blockedMinRows) take that path, where the blocked filter passes
+	// too many lanes to pay. The blocked kernel rescores all retained
+	// entities through the same Score, so both paths return
+	// bit-identical results — this option exists to prove exactly that
+	// (the kernel-identity suite) and as an escape hatch.
 	ScalarKernel bool
 }
 
@@ -266,8 +269,8 @@ type BatchItem struct {
 }
 
 // batchSpec is the immutable per-gather description every shard scan
-// reads: the queries and their float32 kernel tables (nil on the scalar
-// path).
+// reads: the queries and their float32 kernel tables (nil when no shard
+// of the snapshot is blocked).
 type batchSpec struct {
 	items []BatchItem
 	kern  [][]kernArc
@@ -341,7 +344,7 @@ func (e *Engine) runBatch(ctx context.Context, items []BatchItem, bound float64)
 	}
 
 	g := &gather{e: e, qctx: ctx, snap: snap, spec: batchSpec{items: items}, locals: make([]localBatch, len(snap.shards))}
-	if !e.opts.ScalarKernel {
+	if snap.blocked {
 		g.spec.kern = prepareKernel(e.p.Dim, e.p.Eta, items)
 	}
 
@@ -458,7 +461,7 @@ func (g *gather) Attempt(sctx context.Context, i int) (out localBatch, res resil
 	}
 	var sc scanCounters
 	var err error
-	if spec.kern != nil && sd.cos32 != nil {
+	if sd.cos32 != nil {
 		err = e.scanBlocked(sctx, i, sd, spec, heaps, g.gbounds, &sc)
 	} else {
 		for qi := range spec.items {

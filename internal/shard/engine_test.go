@@ -338,8 +338,11 @@ func TestConcurrentSwapDuringScan(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(17))
-	angles := append([]float64(nil), src.Angles...)
+	angles := src.Angles
 	for v := uint64(2); v <= 40; v++ {
+		// Each version is a new array: the engine keeps the published
+		// one and scans in flight still read it.
+		angles = append([]float64(nil), angles...)
 		for i := 0; i < 20; i++ {
 			angles[rng.Intn(len(angles))] = rng.Float64() * geometry.TwoPi
 		}

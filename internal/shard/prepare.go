@@ -1,11 +1,13 @@
 // Package shard implements the sharded entity-ranking engine: the
 // entity table is partitioned into N contiguous ID ranges, each shard
-// owning its own cos/sin trig tables; a query scatters its prepared arc
-// parameters to every shard in parallel, each shard produces a local
-// top-K over an inline scoring loop with a bounded heap, and the shard
-// heaps merge into the global top-K. Shards read versioned immutable
-// snapshots published by Swap, so online embedding updates never block —
-// or race with — in-flight scans.
+// holding slice headers over the caller's angle rows (never a copy) and
+// one scoring layout derived from them — float32 planes for the blocked
+// filter on large shards, float64 cos/sin tables for the scalar loop on
+// small ones; a query scatters its prepared arc parameters to every
+// shard in parallel, each shard produces a local top-K with a bounded
+// heap, and the shard heaps merge into the global top-K. Shards read
+// versioned immutable snapshots published by Swap, so online embedding
+// updates never block — or race with — in-flight scans.
 //
 // The scoring formula is HaLk's entity-to-arc distance (Eq. 15–16 plus
 // the group penalty of Eq. 17) evaluated over cached unit vectors by

@@ -49,24 +49,24 @@ func (b *Bound) Update(v float64) {
 // match a full scan bit for bit; pruning only skips entities whose
 // partial sum already exceeds what the global top-K could admit.
 func (e *Engine) scanRange(ctx context.Context, sd *shardData, arcs []Arc, h *topK, gbound *Bound) error {
-	ents := sd.hi - sd.lo
+	ents, dim := sd.hi-sd.lo, e.p.Dim
 	for li := 0; li < ents; li++ {
 		if li%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		e.scoreLocal(sd, arcs, li, h, gbound)
+		base := li * dim
+		e.scoreLocal(sd, sd.cos[base:base+dim], sd.sin[base:base+dim], arcs, li, h, gbound)
 	}
 	return nil
 }
 
-// scoreLocal scores shard-local entity li (global ID sd.lo+li) against
-// the arcs and offers the result to the heap, pruning against
-// min(local heap bound, shared global bound).
-func (e *Engine) scoreLocal(sd *shardData, arcs []Arc, li int, h *topK, gbound *Bound) {
-	dim := e.p.Dim
-	base := li * dim
+// scoreLocal scores shard-local entity li (global ID sd.lo+li), whose
+// angles' cos/sin rows are cosRow and sinRow, against the arcs and
+// offers the result to the heap, pruning against min(local heap bound,
+// shared global bound).
+func (e *Engine) scoreLocal(sd *shardData, cosRow, sinRow []float64, arcs []Arc, li int, h *topK, gbound *Bound) {
 	thr := h.bound()
 	if g := gbound.Load(); g < thr {
 		thr = g
@@ -75,7 +75,7 @@ func (e *Engine) scoreLocal(sd *shardData, arcs []Arc, li int, h *topK, gbound *
 	if sd.group != nil {
 		group = sd.group[li]
 	}
-	best := Score(e.p, sd.cos[base:base+dim], sd.sin[base:base+dim], group, arcs, thr)
+	best := Score(e.p, cosRow, sinRow, group, arcs, thr)
 	if math.IsInf(best, 1) {
 		return
 	}

@@ -95,7 +95,7 @@ func TestDeltaSwapSharesCleanShards(t *testing.T) {
 	}
 	cur := e.snap.Load()
 	for i := range cur.shards {
-		shared := &cur.shards[i].cos[0] == &prev.shards[i].cos[0]
+		shared := &cur.shards[i].cos32[0] == &prev.shards[i].cos32[0]
 		if i == 2 && shared {
 			t.Fatal("dirty shard 2 was not rebuilt")
 		}
@@ -123,7 +123,7 @@ func TestDeltaSwapSharesCleanShards(t *testing.T) {
 		t.Fatalf("version = %d, want 3", next.version)
 	}
 	for i := range next.shards {
-		if &next.shards[i].cos[0] != &cur.shards[i].cos[0] {
+		if &next.shards[i].cos32[0] != &cur.shards[i].cos32[0] {
 			t.Fatalf("empty-dirty republish rebuilt shard %d", i)
 		}
 	}
