@@ -57,8 +57,6 @@ type Config struct {
 	// Metrics is the registry the per-replica counters register on; nil
 	// means a private one.
 	Metrics *obs.Registry
-	// Client is the shared HTTP client; nil means NewHTTPClient().
-	Client *http.Client
 	// Seed drives the power-of-two-choices sampling; 0 means
 	// time-seeded. Fix it in tests that need a reproducible pick order.
 	Seed int64
@@ -186,14 +184,10 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = time.Now().UnixNano()
 	}
-	hc := cfg.Client
-	if hc == nil {
-		hc = NewHTTPClient()
-	}
 	rt := &Router{
 		cfg: cfg,
 		reg: cfg.Metrics,
-		hc:  hc,
+		hc:  NewHTTPClient(),
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	rt.probeCtx, rt.probeCancel = context.WithCancel(context.Background())

@@ -7,6 +7,7 @@ package kg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -26,8 +27,10 @@ type Triple struct {
 
 // Graph is an indexed triple store. Successor and predecessor lists are
 // maintained per relation so that multi-hop traversal (the ground-truth
-// oracle, the subgraph matcher) is cheap. A Graph is not safe for
-// concurrent mutation, but read methods may be used concurrently.
+// oracle, the subgraph matcher) is cheap; the sorted successor lists
+// also answer membership, so a fact is indexed once per direction. A
+// Graph is not safe for concurrent mutation, but read methods may be
+// used concurrently.
 type Graph struct {
 	Entities  *Dict
 	Relations *Dict
@@ -36,8 +39,6 @@ type Graph struct {
 	// out[r] maps head -> sorted tails; in[r] maps tail -> sorted heads.
 	out []map[EntityID][]EntityID
 	in  []map[EntityID][]EntityID
-	// set membership for O(1) HasTriple
-	seen map[Triple]struct{}
 }
 
 // NewGraph returns an empty graph sharing the given dictionaries. Both
@@ -47,7 +48,6 @@ func NewGraph(entities, relations *Dict) *Graph {
 	return &Graph{
 		Entities:  entities,
 		Relations: relations,
-		seen:      make(map[Triple]struct{}),
 	}
 }
 
@@ -90,10 +90,9 @@ func (g *Graph) AddTriple(t Triple) bool {
 	if int(t.R) >= g.Relations.Len() {
 		panic(fmt.Sprintf("kg: AddTriple: relation out of range: %+v (have %d)", t, g.Relations.Len()))
 	}
-	if _, dup := g.seen[t]; dup {
+	if g.HasTriple(t.H, t.R, t.T) {
 		return false
 	}
-	g.seen[t] = struct{}{}
 	g.triples = append(g.triples, t)
 	g.growRelation(t.R)
 	g.out[t.R][t.H] = insertSorted(g.out[t.R][t.H], t.T)
@@ -110,16 +109,15 @@ func insertSorted(s []EntityID, e EntityID) []EntityID {
 }
 
 // RemoveTriple deletes a fact; it reports whether the triple was
-// present. Removal keeps every index consistent (seen set, insertion
-// slice, per-relation successor/predecessor lists), so a removed fact
+// present. Removal keeps every index consistent (insertion slice,
+// per-relation successor/predecessor lists), so a removed fact
 // is invisible to all read paths. Like AddTriple, it is not safe for
 // use concurrent with readers — the streaming-ingest subsystem applies
 // removals from a single goroutine.
 func (g *Graph) RemoveTriple(t Triple) bool {
-	if _, ok := g.seen[t]; !ok {
+	if !g.HasTriple(t.H, t.R, t.T) {
 		return false
 	}
-	delete(g.seen, t)
 	for i, tr := range g.triples {
 		if tr == t {
 			g.triples = append(g.triples[:i], g.triples[i+1:]...)
@@ -139,9 +137,10 @@ func removeSorted(s []EntityID, e EntityID) []EntityID {
 	return append(s[:i], s[i+1:]...)
 }
 
-// HasTriple reports whether (h, r, t) is a stored fact.
+// HasTriple reports whether (h, r, t) is a stored fact: a binary search
+// of the sorted Successors(h, r).
 func (g *Graph) HasTriple(h EntityID, r RelationID, t EntityID) bool {
-	_, ok := g.seen[Triple{h, r, t}]
+	_, ok := slices.BinarySearch(g.Successors(h, r), t)
 	return ok
 }
 

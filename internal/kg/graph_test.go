@@ -193,7 +193,7 @@ func TestRemoveTriple(t *testing.T) {
 		t.Fatal("RemoveTriple of present triple reported false")
 	}
 	if g.HasTriple(0, 0, 1) {
-		t.Error("removed triple still in seen set")
+		t.Error("HasTriple still reports the removed triple")
 	}
 	if g.NumTriples() != 3 {
 		t.Errorf("NumTriples = %d, want 3", g.NumTriples())

@@ -149,7 +149,7 @@ func (in *Injector) Fire(stage string, shard int) error {
 }
 
 // ScanErrHook adapts the injector to an error-returning per-shard scan
-// hook (shard.Options.ScanErr): delay faults sleep, error faults fail
+// hook (shard.Options.ScanHook): delay faults sleep, error faults fail
 // the shard's scan, and panic faults propagate into the scan goroutine,
 // where the engine's recover isolates them.
 func (in *Injector) ScanErrHook(stage string) func(shard int) error {

@@ -22,13 +22,13 @@ import (
 )
 
 // faultScanStage is the injector stage name the chaos tests arm for
-// per-shard scan faults (wired through shard.Options.ScanErr).
+// per-shard scan faults (wired through shard.Options.ScanHook).
 const faultScanStage = "shard.scan"
 
 func discardLog() *log.Logger { return log.New(io.Discard, "", 0) }
 
 // newChaosServer builds a server over a 3-shard ranker with the
-// injector wired into both the shard scan seam (shard.Options.ScanErr)
+// injector wired into both the shard scan seam (shard.Options.ScanHook)
 // and the serve seams (Config.Faults). Shard timeout is 50ms so "slow"
 // faults (200ms) read as deadline misses.
 func newChaosServer(t *testing.T, inj *resil.Injector, mutate func(*Config, *shard.Options)) (*Server, *httptest.Server) {
@@ -36,7 +36,7 @@ func newChaosServer(t *testing.T, inj *resil.Injector, mutate func(*Config, *sha
 	opts := shard.Options{
 		Shards:       3,
 		ShardTimeout: 50 * time.Millisecond,
-		ScanErr:      inj.ScanErrHook(faultScanStage),
+		ScanHook:     inj.ScanErrHook(faultScanStage),
 		PanicLog:     discardLog(),
 	}
 	s, _, _, ts := newTestServer(t, func(cfg *Config) {
@@ -505,7 +505,7 @@ func TestServerCloseDrainsHedgedScans(t *testing.T) {
 	r, err := m.NewShardedRanker(shard.Options{
 		Shards:     2,
 		HedgeDelay: time.Millisecond,
-		ScanErr:    inj.ScanErrHook(faultScanStage),
+		ScanHook:   inj.ScanErrHook(faultScanStage),
 		PanicLog:   discardLog(),
 	})
 	if err != nil {

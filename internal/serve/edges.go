@@ -71,7 +71,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req edgesRequest
-	if code, err := DecodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if code, err := DecodeBody(w, r, maxBodyBytes, &req); err != nil {
 		fail(code, "%v", err)
 		return
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -153,32 +152,29 @@ func TestEdgesEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestBodySizeLimit is the satellite-2 regression: every mutating
-// endpoint refuses an oversized body with 413 instead of buffering it.
+// TestBodySizeLimit: every mutating endpoint refuses a body of 1 MiB + 1
+// byte with 413 instead of buffering it.
 func TestBodySizeLimit(t *testing.T) {
-	_, _, ds, ts, _ := newIngestServer(t, func(c *Config) { c.MaxBodyBytes = 256 })
+	_, _, ds, ts, _ := newIngestServer(t, nil)
 
 	// Valid JSON that is simply too large: padding inside a string field
 	// keeps the request well-formed so only the limit can reject it.
-	big := fmt.Sprintf(`{"query": %q}`, "p[r000](e0000) "+strings.Repeat("x", 4096))
-	res, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
+	oversized := func(head, tail string) string {
+		return head + strings.Repeat("x", 1<<20+1-len(head)-len(tail)) + tail
 	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("/v1/query oversized status = %d, want 413", res.StatusCode)
-	}
-
-	bigEdges := fmt.Sprintf(`{"add":[{"h":"e0000","r":"r000","t":"e0001"}],"remove":[{"h":%q,"r":"r000","t":"e0001"}]}`,
-		strings.Repeat("y", 4096))
-	res, err = http.Post(ts.URL+"/v1/edges", "application/json", strings.NewReader(bigEdges))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("/v1/edges oversized status = %d, want 413", res.StatusCode)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/query", oversized(`{"query": "p[r000](e0000) `, `"}`)},
+		{"/v1/batch", oversized(`{"queries": [{"query": "p[r000](e0000) `, `"}]}`)},
+		{"/v1/edges", oversized(`{"add":[{"h":"e0000","r":"r000","t":"e0001"}],"remove":[{"h":"`, `","r":"r000","t":"e0001"}]}`)},
+	} {
+		res, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: %d-byte body status = %d, want 413", c.path, len(c.body), res.StatusCode)
+		}
 	}
 
 	// An in-limit request on the same server still succeeds.

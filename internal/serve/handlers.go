@@ -82,7 +82,7 @@ type errorResponse struct {
 
 // Fault-injection stages: the seam names Config.Faults fires at. The
 // shard value passed to Fire is always 0 — these are per-request seams,
-// not per-shard ones (shard-level faults go through shard.Options.ScanErr).
+// not per-shard ones (shard-level faults go through shard.Options.ScanHook).
 const (
 	// FaultStageCacheGet fires on every answer-cache lookup. An injected
 	// error degrades to a cache miss; an injected panic surfaces the

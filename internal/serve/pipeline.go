@@ -54,7 +54,7 @@ func (q *request) decode(v any) bool {
 		return false
 	}
 	q.tr.Begin(obs.StageParse)
-	if code, err := DecodeBody(q.w, q.r, q.s.cfg.MaxBodyBytes, v); err != nil {
+	if code, err := DecodeBody(q.w, q.r, maxBodyBytes, v); err != nil {
 		q.fail(code, "%v", err)
 		return false
 	}

@@ -138,9 +138,6 @@ type Config struct {
 	// durably logged by the sink (an ingest.Ingester) and folded into the
 	// model asynchronously. Nil answers the endpoint with 503.
 	Edges EdgeSink
-	// MaxBodyBytes caps every mutating request body (/v1/query,
-	// /v1/edges); an oversized body is refused with 413. 0 means 1 MiB.
-	MaxBodyBytes int64
 	// MaxBatch caps the query count of one POST /v1/batch request; an
 	// oversized batch is refused with 400. 0 means DefaultMaxBatch.
 	MaxBatch int
@@ -154,6 +151,11 @@ const DefaultCacheSize = 1024
 // MaxBatch zero: large enough for bulk evaluation sweeps, small enough
 // that one request cannot monopolise a worker for unbounded time.
 const DefaultMaxBatch = 256
+
+// maxBodyBytes caps every mutating request body (/v1/query, /v1/batch,
+// /v1/edges, the topology endpoints); an oversized body is refused with
+// 413.
+const maxBodyBytes = 1 << 20
 
 // Server is a long-lived query-answering service over one trained model.
 // All methods are safe for concurrent use.
@@ -194,9 +196,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 10 * time.Second
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch

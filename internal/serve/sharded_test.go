@@ -211,10 +211,11 @@ func TestDeadlinePartialEndToEnd(t *testing.T) {
 			Shards:       2,
 			ShardTimeout: 10 * time.Millisecond,
 			Metrics:      reg,
-			ScanHook: func(i int) {
+			ScanHook: func(i int) error {
 				if i == 1 {
 					time.Sleep(100 * time.Millisecond)
 				}
+				return nil
 			},
 		})
 		if err != nil {

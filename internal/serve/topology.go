@@ -90,7 +90,7 @@ func (s *Server) handleTopologyJoin(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req topologyRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		fail(http.StatusBadRequest, "invalid JSON body: %v", err)
@@ -138,7 +138,7 @@ func (s *Server) handleTopologyLeave(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req topologyRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		fail(http.StatusBadRequest, "invalid JSON body: %v", err)

@@ -47,14 +47,11 @@ type Options struct {
 	// Engine.Metrics).
 	Metrics *obs.Registry
 	// ScanHook, when set, is called at the start of every shard scan with
-	// the shard index. Test instrumentation: a hook that sleeps past
-	// ShardTimeout turns that shard into a deadline miss.
-	ScanHook func(shardIdx int)
-	// ScanErr, when set, is called after ScanHook with the shard index; a
-	// non-nil return fails that shard's scan (skip + breaker failure)
-	// without touching the snapshot. Fault-injection seam — see
-	// resil.Injector.ScanErrHook.
-	ScanErr func(shardIdx int) error
+	// the shard index. A non-nil return fails that shard's scan (skip +
+	// breaker failure) without touching the snapshot; a hook that sleeps
+	// past ShardTimeout and returns nil turns that shard into a deadline
+	// miss. Test and fault-injection seam — see resil.Injector.ScanErrHook.
+	ScanHook func(shardIdx int) error
 	// Breaker, when non-nil, guards each shard slot with a circuit
 	// breaker built from this config: shards that keep missing their
 	// deadline (or panicking) are skipped up front until a half-open
@@ -441,10 +438,7 @@ func (g *gather) Attempt(sctx context.Context, i int) (out localBatch, res resil
 	}()
 	sd := &g.snap.shards[i]
 	if e.opts.ScanHook != nil {
-		e.opts.ScanHook(i)
-	}
-	if e.opts.ScanErr != nil {
-		if err := e.opts.ScanErr(i); err != nil {
+		if err := e.opts.ScanHook(i); err != nil {
 			e.stats[i].errors.Inc()
 			return out, resil.Failed
 		}

@@ -24,7 +24,7 @@ func TestScanPanicYieldsPartial(t *testing.T) {
 	inj.Set("scan", 1, resil.Fault{Kind: resil.KindPanic})
 	e := newTestEngine(t, p, src, Options{
 		Shards:   3,
-		ScanErr:  inj.ScanErrHook("scan"),
+		ScanHook: inj.ScanErrHook("scan"),
 		PanicLog: quietPanicLog(),
 	})
 
@@ -56,7 +56,7 @@ func TestScanErrSeamFailsShard(t *testing.T) {
 	sentinel := errors.New("disk on fire")
 	e := newTestEngine(t, p, src, Options{
 		Shards: 2,
-		ScanErr: func(i int) error {
+		ScanHook: func(i int) error {
 			if i == 0 {
 				return sentinel
 			}
@@ -81,7 +81,7 @@ func TestAllShardsFaultedIsAllSkipped(t *testing.T) {
 	inj.Set("scan", resil.AnyShard, resil.Fault{Kind: resil.KindPanic})
 	e := newTestEngine(t, p, src, Options{
 		Shards:   2,
-		ScanErr:  inj.ScanErrHook("scan"),
+		ScanHook: inj.ScanErrHook("scan"),
 		PanicLog: quietPanicLog(),
 	})
 	if _, err := e.TopK(context.Background(), pre, 5); !errors.Is(err, ErrAllShardsSkipped) {
@@ -94,8 +94,8 @@ func TestBreakerOpensThenRecovers(t *testing.T) {
 	inj := resil.NewInjector()
 	inj.Set("scan", 0, resil.Fault{Kind: resil.KindError})
 	e := newTestEngine(t, p, src, Options{
-		Shards:  2,
-		ScanErr: inj.ScanErrHook("scan"),
+		Shards:   2,
+		ScanHook: inj.ScanErrHook("scan"),
 		Breaker: &resil.BreakerConfig{
 			ConsecutiveMisses: 2,
 			OpenBase:          10 * time.Millisecond,
@@ -168,7 +168,7 @@ func TestHedgedScanByteIdentical(t *testing.T) {
 	e := newTestEngine(t, p, src, Options{
 		Shards:     3,
 		HedgeDelay: time.Millisecond,
-		ScanErr:    inj.ScanErrHook("scan"),
+		ScanHook:   inj.ScanErrHook("scan"),
 	})
 
 	res, err := e.TopK(context.Background(), pre, k)
@@ -204,7 +204,7 @@ func TestEngineCloseDrainsScanGoroutines(t *testing.T) {
 	e := newTestEngine(t, p, src, Options{
 		Shards:     2,
 		HedgeDelay: time.Millisecond,
-		ScanErr:    inj.ScanErrHook("scan"),
+		ScanHook:   inj.ScanErrHook("scan"),
 	})
 	before := runtime.NumGoroutine()
 	if _, err := e.TopK(context.Background(), pre, 5); err != nil {
@@ -235,13 +235,14 @@ func TestCancelledProbeDoesNotWedgeBreaker(t *testing.T) {
 	// cancelScan, when armed, aborts the in-flight query from inside the
 	// scan hook — the probe's gather then dies on ctx.Err().
 	var cancelScan atomic.Value
+	scanFault := inj.ScanErrHook("scan")
 	e := newTestEngine(t, p, src, Options{
-		Shards:  2,
-		ScanErr: inj.ScanErrHook("scan"),
-		ScanHook: func(int) {
+		Shards: 2,
+		ScanHook: func(i int) error {
 			if f, _ := cancelScan.Load().(context.CancelFunc); f != nil {
 				f()
 			}
+			return scanFault(i)
 		},
 		Breaker: &resil.BreakerConfig{
 			ConsecutiveMisses: 2,
@@ -313,10 +314,11 @@ func TestHedgeSharesShardDeadline(t *testing.T) {
 		Shards:       2,
 		ShardTimeout: 60 * time.Millisecond,
 		HedgeDelay:   40 * time.Millisecond,
-		ScanHook: func(i int) {
+		ScanHook: func(i int) error {
 			if i == 0 {
 				<-release
 			}
+			return nil
 		},
 	})
 	type gatherOut struct {

@@ -184,10 +184,11 @@ func TestPartialResultOnSlowShard(t *testing.T) {
 	if err := e.Swap(src); err != nil {
 		t.Fatal(err)
 	}
-	e.opts.ScanHook = func(i int) {
+	e.opts.ScanHook = func(i int) error {
 		if i == 1 {
 			time.Sleep(150 * time.Millisecond)
 		}
+		return nil
 	}
 	res, err := e.TopK(context.Background(), pre, 10)
 	if err != nil {
@@ -228,7 +229,10 @@ func TestAllShardsSkipped(t *testing.T) {
 	if err := e.Swap(src); err != nil {
 		t.Fatal(err)
 	}
-	e.opts.ScanHook = func(int) { time.Sleep(80 * time.Millisecond) }
+	e.opts.ScanHook = func(int) error {
+		time.Sleep(80 * time.Millisecond)
+		return nil
+	}
 	if _, err := e.TopK(context.Background(), pre, 5); err != ErrAllShardsSkipped {
 		t.Fatalf("err = %v, want ErrAllShardsSkipped", err)
 	}

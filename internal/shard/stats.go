@@ -20,7 +20,7 @@ import (
 type shardStat struct {
 	scans        *obs.Counter   // completed scans
 	skips        *obs.Counter   // scans abandoned on the per-shard deadline
-	errors       *obs.Counter   // scans failed by the ScanErr seam
+	errors       *obs.Counter   // scans failed by the ScanHook seam
 	panics       *obs.Counter   // panics recovered inside scan goroutines
 	breakerSkips *obs.Counter   // scans refused up front by an open breaker
 	hedges       *obs.Counter   // hedge scans issued
