@@ -45,7 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("dataset %s: %d/%d/%d train/valid/test triples\n",
-		ds.Name, ds.Train.NumTriples(), ds.Valid.NumTriples(), ds.Test.NumTriples())
+		ds.Name, ds.Train.NumTriples(), ds.Train.NumTriples()+len(ds.ValidEdges), ds.Test.NumTriples())
 
 	if *stats {
 		for _, part := range []struct {
@@ -61,27 +61,30 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, part := range []struct {
-			name string
-			g    *kg.Graph
-		}{{"train", ds.Train}, {"valid", ds.Valid}, {"test", ds.Test}} {
+			name  string
+			g     *kg.Graph
+			extra []kg.Triple
+		}{{"train", ds.Train, nil}, {"valid", ds.Train, ds.ValidEdges}, {"test", ds.Test, nil}} {
 			path := filepath.Join(*export, part.name+".tsv")
 			f, err := os.Create(path)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := kg.WriteTSV(f, part.g); err != nil {
+			if err := kg.WriteTSV(f, part.g, part.extra...); err != nil {
 				log.Fatal(err)
 			}
 			if err := f.Close(); err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("wrote %s (%d triples)\n", path, part.g.NumTriples())
+			fmt.Printf("wrote %s (%d triples)\n", path, part.g.NumTriples()+len(part.extra))
 		}
 	}
 }
 
 // importDataset reads train.tsv / valid.tsv / test.tsv from dir into one
-// dataset sharing dictionaries.
+// dataset sharing dictionaries. valid.tsv holds the validation graph,
+// train plus the validation edges; the facts it adds to train become
+// ValidEdges.
 func importDataset(dir string) (*kg.Dataset, error) {
 	ents, rels := kg.NewDict(), kg.NewDict()
 	graphs := make(map[string]*kg.Graph, 3)
@@ -97,10 +100,15 @@ func importDataset(dir string) (*kg.Dataset, error) {
 		}
 		graphs[name] = g
 	}
-	return &kg.Dataset{
-		Name:  filepath.Base(dir),
-		Train: graphs["train"],
-		Valid: graphs["valid"],
-		Test:  graphs["test"],
-	}, nil
+	ds := &kg.Dataset{Name: filepath.Base(dir), Train: graphs["train"], Test: graphs["test"]}
+	valid := graphs["valid"]
+	if !valid.ContainsAll(ds.Train) {
+		return nil, fmt.Errorf("kg: dataset %s: train ⊄ valid", ds.Name)
+	}
+	for _, t := range valid.Triples() {
+		if !ds.Train.HasTriple(t.H, t.R, t.T) {
+			ds.ValidEdges = append(ds.ValidEdges, t)
+		}
+	}
+	return ds, nil
 }

@@ -58,7 +58,7 @@ func main() {
 	}
 	log.Printf("dataset %s: %d entities, %d relations, %d/%d/%d train/valid/test triples",
 		ds.Name, ds.Train.NumEntities(), ds.Train.NumRelations(),
-		ds.Train.NumTriples(), ds.Valid.NumTriples(), ds.Test.NumTriples())
+		ds.Train.NumTriples(), ds.Train.NumTriples()+len(ds.ValidEdges), ds.Test.NumTriples())
 
 	dirPath := *ckptDir
 	if dirPath == "" {

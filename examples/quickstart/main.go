@@ -20,7 +20,8 @@ func main() {
 	log.SetFlags(0)
 
 	// 1. A knowledge graph. SynthFB237 is the FB15k-237 stand-in:
-	//    train ⊆ valid ⊆ test graphs sharing one entity/relation space.
+	//    train ⊆ valid ⊆ test, held as Train and Test graphs sharing one
+	//    entity/relation space plus the validation edges between them.
 	ds := kg.SynthFB237(1)
 	fmt.Printf("dataset %s: %d entities, %d relations, %d train triples\n",
 		ds.Name, ds.Train.NumEntities(), ds.Train.NumRelations(), ds.Train.NumTriples())

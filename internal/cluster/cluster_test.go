@@ -414,7 +414,6 @@ func TestRouterBreakerOpensOnDeadNode(t *testing.T) {
 		c.ScanTimeout = 2 * time.Second
 		c.Breaker = &resil.BreakerConfig{
 			Window:            8,
-			FailureRate:       0.5,
 			ConsecutiveMisses: 2,
 			OpenBase:          time.Minute, // stays open for the whole test
 			OpenMax:           time.Minute,

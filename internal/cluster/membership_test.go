@@ -359,7 +359,6 @@ func TestReadRepairReadmits(t *testing.T) {
 		fastProbes(c)
 		c.Breaker = &resil.BreakerConfig{
 			Window:            8,
-			FailureRate:       0.5,
 			ConsecutiveMisses: 2,
 			// A cool-down far beyond the test's lifetime: only the
 			// read-repair prober's Reset can close the breaker again.

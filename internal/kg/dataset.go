@@ -5,31 +5,39 @@ import (
 	"math/rand"
 )
 
-// Dataset bundles the three graphs of the standard logical-query
-// evaluation protocol. Train ⊆ Valid ⊆ Test: the validation graph adds
-// the validation edges on top of the training edges, and the test graph
-// adds the test edges on top of that, exactly the G_training ⊆
-// G_validation ⊆ G_test configuration of HaLk Sec. IV-A.
+// Dataset bundles the splits of the standard logical-query evaluation
+// protocol, the G_training ⊆ G_validation ⊆ G_test configuration of
+// HaLk Sec. IV-A. Only the training and test graphs are built: the
+// validation graph is Train plus ValidEdges, and Test holds Train, then
+// ValidEdges, then the test edges, in that insertion order.
 type Dataset struct {
 	Name  string
 	Train *Graph
-	Valid *Graph
-	Test  *Graph
+	// ValidEdges are the held-out validation facts in split order: in
+	// Test and not in Train.
+	ValidEdges []Triple
+	Test       *Graph
 }
 
-// Validate checks the subset invariants and shared dictionaries.
+// Validate checks the shared dictionaries, Train ⊆ Test, and that every
+// validation edge is in Test and not in Train.
 func (d *Dataset) Validate() error {
-	if d.Train.Entities != d.Valid.Entities || d.Valid.Entities != d.Test.Entities {
+	if d.Train.Entities != d.Test.Entities {
 		return fmt.Errorf("kg: dataset %s: graphs do not share the entity dictionary", d.Name)
 	}
-	if d.Train.Relations != d.Valid.Relations || d.Valid.Relations != d.Test.Relations {
+	if d.Train.Relations != d.Test.Relations {
 		return fmt.Errorf("kg: dataset %s: graphs do not share the relation dictionary", d.Name)
 	}
-	if !d.Valid.ContainsAll(d.Train) {
-		return fmt.Errorf("kg: dataset %s: train ⊄ valid", d.Name)
+	if !d.Test.ContainsAll(d.Train) {
+		return fmt.Errorf("kg: dataset %s: train ⊄ test", d.Name)
 	}
-	if !d.Test.ContainsAll(d.Valid) {
-		return fmt.Errorf("kg: dataset %s: valid ⊄ test", d.Name)
+	for _, t := range d.ValidEdges {
+		if d.Train.HasTriple(t.H, t.R, t.T) {
+			return fmt.Errorf("kg: dataset %s: validation edge %+v is in train", d.Name, t)
+		}
+		if !d.Test.HasTriple(t.H, t.R, t.T) {
+			return fmt.Errorf("kg: dataset %s: valid ⊄ test", d.Name)
+		}
 	}
 	return nil
 }
@@ -51,6 +59,7 @@ func Split(name string, full *Graph, validFrac, testFrac float64, rng *rand.Rand
 	nTest := int(testFrac * float64(len(triples)))
 
 	train := NewGraph(full.Entities, full.Relations)
+	test := NewGraph(full.Entities, full.Relations)
 	var validOnly, testOnly []Triple
 	// Pass 1: tentatively assign; protect heads from losing all out-edges.
 	outCount := make(map[[2]int32]int) // (head, rel) -> remaining train count
@@ -69,15 +78,14 @@ func Split(name string, full *Graph, validFrac, testFrac float64, rng *rand.Rand
 			outCount[key]--
 		default:
 			train.AddTriple(t)
+			test.AddTriple(t)
 		}
 	}
-	valid := train.Clone()
 	for _, t := range validOnly {
-		valid.AddTriple(t)
+		test.AddTriple(t)
 	}
-	test := valid.Clone()
 	for _, t := range testOnly {
 		test.AddTriple(t)
 	}
-	return &Dataset{Name: name, Train: train, Valid: valid, Test: test}
+	return &Dataset{Name: name, Train: train, ValidEdges: validOnly, Test: test}
 }

@@ -51,16 +51,6 @@ func NewGraph(entities, relations *Dict) *Graph {
 	}
 }
 
-// Clone returns a deep copy of the graph sharing the dictionaries.
-// Used to grow valid/test graphs as supersets of the train graph.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.Entities, g.Relations)
-	for _, t := range g.triples {
-		c.AddTriple(t)
-	}
-	return c
-}
-
 // NumEntities returns the number of registered entities.
 func (g *Graph) NumEntities() int { return g.Entities.Len() }
 
@@ -189,7 +179,7 @@ func (g *Graph) HeadsOf(r RelationID) []EntityID {
 }
 
 // ContainsAll reports whether every triple of other is present in g.
-// Used to verify the paper's G_train ⊆ G_valid ⊆ G_test invariant.
+// Dataset.Validate uses it to check Train ⊆ Test.
 func (g *Graph) ContainsAll(other *Graph) bool {
 	for _, t := range other.triples {
 		if !g.HasTriple(t.H, t.R, t.T) {

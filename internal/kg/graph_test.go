@@ -60,21 +60,6 @@ func TestGraphDuplicateIgnored(t *testing.T) {
 	}
 }
 
-func TestGraphCloneIndependent(t *testing.T) {
-	g := tinyGraph()
-	c := g.Clone()
-	c.AddTriple(Triple{2, 1, 3})
-	if g.HasTriple(2, 1, 3) {
-		t.Error("clone mutation leaked into original")
-	}
-	if !c.ContainsAll(g) {
-		t.Error("clone lost triples")
-	}
-	if g.ContainsAll(c) {
-		t.Error("ContainsAll should be false when other has extra triples")
-	}
-}
-
 func TestGraphAddTripleOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

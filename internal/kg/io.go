@@ -7,14 +7,17 @@ import (
 	"strings"
 )
 
-// WriteTSV writes the graph's triples as tab-separated
-// "head<TAB>relation<TAB>tail" lines using dictionary names.
-func WriteTSV(w io.Writer, g *Graph) error {
+// WriteTSV writes the graph's triples, then extra, as tab-separated
+// "head<TAB>relation<TAB>tail" lines using the graph's dictionary names.
+// A dataset's validation graph is WriteTSV(w, ds.Train, ds.ValidEdges...).
+func WriteTSV(w io.Writer, g *Graph, extra ...Triple) error {
 	bw := bufio.NewWriter(w)
-	for _, t := range g.Triples() {
-		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\n",
-			g.Entities.Name(int32(t.H)), g.Relations.Name(int32(t.R)), g.Entities.Name(int32(t.T))); err != nil {
-			return err
+	for _, ts := range [][]Triple{g.Triples(), extra} {
+		for _, t := range ts {
+			if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\n",
+				g.Entities.Name(int32(t.H)), g.Relations.Name(int32(t.R)), g.Entities.Name(int32(t.T))); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()

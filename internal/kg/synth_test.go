@@ -12,17 +12,59 @@ func TestSplitInvariants(t *testing.T) {
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	nTrain, nValid, nTest := ds.Train.NumTriples(), ds.Valid.NumTriples(), ds.Test.NumTriples()
-	if !(nTrain < nValid && nValid < nTest) {
-		t.Errorf("split sizes not strictly growing: %d, %d, %d", nTrain, nValid, nTest)
+	nTrain, nValid, nTest := ds.Train.NumTriples(), len(ds.ValidEdges), ds.Test.NumTriples()
+	if nValid == 0 || nTrain+nValid >= nTest {
+		t.Errorf("split sizes not strictly growing: train %d, valid edges %d, test %d", nTrain, nValid, nTest)
 	}
-	// Holdout must not orphan any head: every (h, r) observed in the test
-	// graph whose head had >1 fact keeps at least one fact in train only
-	// if it was protected — weaker but checkable invariant: every entity
-	// that is a head in valid-only/test-only triples still exists in
-	// train's dictionaries (trivially true) and train is non-trivial.
-	if nTrain < ds.Test.NumTriples()/2 {
-		t.Errorf("train graph suspiciously small: %d of %d", nTrain, ds.Test.NumTriples())
+	for _, tr := range ds.ValidEdges {
+		if ds.Train.HasTriple(tr.H, tr.R, tr.T) {
+			t.Fatalf("validation edge %+v is in train", tr)
+		}
+	}
+	// Test holds Train, then the validation edges, then the test-only
+	// edges, in insertion order.
+	test := ds.Test.Triples()
+	if !reflect.DeepEqual(test[:nTrain], ds.Train.Triples()) {
+		t.Error("Test.Triples() does not start with Train.Triples()")
+	}
+	if !reflect.DeepEqual(test[nTrain:nTrain+nValid], ds.ValidEdges) {
+		t.Error("Test.Triples() does not continue with ValidEdges")
+	}
+	// Holdout never takes a head's last fact under a relation, so train
+	// stays non-trivial.
+	if nTrain < nTest/2 {
+		t.Errorf("train graph suspiciously small: %d of %d", nTrain, nTest)
+	}
+}
+
+// TestValidateRejects: a dataset that breaks one invariant Validate
+// states, and only that one, fails it.
+func TestValidateRejects(t *testing.T) {
+	train := tinyGraph()
+	edge := Triple{2, 1, 3} // c likes d
+	build := func() *Dataset {
+		test := NewGraph(train.Entities, train.Relations)
+		for _, tr := range train.Triples() {
+			test.AddTriple(tr)
+		}
+		test.AddTriple(edge)
+		return &Dataset{Name: "tiny", Train: train, ValidEdges: []Triple{edge}, Test: test}
+	}
+	if err := build().Validate(); err != nil {
+		t.Fatalf("well-formed dataset: %v", err)
+	}
+	for name, breakIt := range map[string]func(*Dataset){
+		"entity dictionary":   func(d *Dataset) { d.Test.Entities = NewDict() },
+		"relation dictionary": func(d *Dataset) { d.Test.Relations = NewDict() },
+		"train ⊄ test":        func(d *Dataset) { d.Test.RemoveTriple(Triple{0, 0, 1}) },
+		"valid edge in train": func(d *Dataset) { d.ValidEdges = append(d.ValidEdges, Triple{0, 0, 1}) },
+		"valid ⊄ test":        func(d *Dataset) { d.Test.RemoveTriple(edge) },
+	} {
+		d := build()
+		breakIt(d)
+		if d.Validate() == nil {
+			t.Errorf("%s: Validate accepted the broken dataset", name)
+		}
 	}
 }
 
@@ -159,6 +201,25 @@ func TestTSVRoundTrip(t *testing.T) {
 		if !g.HasTriple(EntityID(h), RelationID(r), EntityID(tl)) {
 			t.Fatalf("triple %d missing after round trip", i)
 		}
+	}
+}
+
+// TestWriteTSVExtra: the validation graph is written as Train's triples
+// then the validation edges, and reads back as exactly that graph.
+func TestWriteTSVExtra(t *testing.T) {
+	ds := SynthFB237(9)
+	var buf bytes.Buffer
+	if err := WriteTSV(&buf, ds.Train, ds.ValidEdges...); err != nil {
+		t.Fatal(err)
+	}
+	g, err := ReadTSV(&buf, ds.Train.Entities, ds.Train.Relations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]Triple(nil), ds.Train.Triples()...), ds.ValidEdges...)
+	if !reflect.DeepEqual(g.Triples(), want) {
+		t.Errorf("read back %d triples, want Train's %d then %d validation edges",
+			g.NumTriples(), ds.Train.NumTriples(), len(ds.ValidEdges))
 	}
 }
 

@@ -37,15 +37,11 @@ func (s State) String() string {
 // BreakerConfig tunes a Breaker. The zero value is usable: every field
 // falls back to the default documented on it.
 type BreakerConfig struct {
-	// Window is the rolling outcome window size; 0 means 16.
+	// Window is the rolling outcome window size; 0 means 16. The breaker
+	// opens once at least half the window has filled and at least half
+	// of those outcomes are failures (a single early failure must not
+	// trip).
 	Window int
-	// FailureRate opens the breaker when the window's failure fraction
-	// reaches it (once MinSamples outcomes are in); 0 means 0.5.
-	FailureRate float64
-	// MinSamples is the window occupancy below which FailureRate does
-	// not apply (a single early failure must not trip); 0 means half the
-	// window.
-	MinSamples int
 	// ConsecutiveMisses opens the breaker after this many consecutive
 	// failures regardless of the window rate; 0 means 4, negative
 	// disables the consecutive trigger.
@@ -66,15 +62,6 @@ func (c *BreakerConfig) withDefaults() BreakerConfig {
 	out := *c
 	if out.Window <= 0 {
 		out.Window = 16
-	}
-	if out.FailureRate <= 0 {
-		out.FailureRate = 0.5
-	}
-	if out.MinSamples <= 0 {
-		out.MinSamples = out.Window / 2
-		if out.MinSamples < 1 {
-			out.MinSamples = 1
-		}
 	}
 	if out.ConsecutiveMisses == 0 {
 		out.ConsecutiveMisses = 4
@@ -280,14 +267,14 @@ func (b *Breaker) push(failure bool) {
 	b.head = (b.head + 1) % len(b.outcomes)
 }
 
-// tripNeeded reports whether the closed-state thresholds are crossed.
-// Called with mu held.
+// tripNeeded reports whether the closed-state thresholds are crossed:
+// ConsecutiveMisses in a row, or half the window filled with at least
+// half of it failed. Called with mu held.
 func (b *Breaker) tripNeeded() bool {
 	if b.cfg.ConsecutiveMisses > 0 && b.consec >= b.cfg.ConsecutiveMisses {
 		return true
 	}
-	return b.count >= b.cfg.MinSamples &&
-		float64(b.fails)/float64(b.count) >= b.cfg.FailureRate
+	return b.count >= max(1, len(b.outcomes)/2) && 2*b.fails >= b.count
 }
 
 // trip opens the breaker for OpenBase plus a full-jitter exponential

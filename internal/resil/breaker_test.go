@@ -30,8 +30,6 @@ func (c *fakeClock) Advance(d time.Duration) {
 func testBreaker(clk *fakeClock) *Breaker {
 	return NewBreaker(BreakerConfig{
 		Window:            8,
-		FailureRate:       0.5,
-		MinSamples:        4,
 		ConsecutiveMisses: 3,
 		OpenBase:          100 * time.Millisecond,
 		OpenMax:           time.Second,
@@ -68,14 +66,14 @@ func TestBreakerSuccessResetsConsecutiveCount(t *testing.T) {
 	clk := newFakeClock()
 	b := testBreaker(clk)
 	// Alternate misses and successes: the consecutive trigger must never
-	// fire, and the 50% rate needs MinSamples first.
+	// fire, and the 50% rate needs half the window (4) first.
 	b.Failure()
 	b.Failure()
 	b.Success()
 	b.Failure()
 	b.Failure()
 	if b.State() != Open {
-		// 4 failures / 5 outcomes = 80% ≥ 50% with MinSamples=4 → open.
+		// 4 failures / 5 outcomes = 80% ≥ 50% with the window half full → open.
 		t.Fatalf("state = %v, want open via failure rate", b.State())
 	}
 }
@@ -83,12 +81,12 @@ func TestBreakerSuccessResetsConsecutiveCount(t *testing.T) {
 func TestBreakerOpensOnFailureRate(t *testing.T) {
 	clk := newFakeClock()
 	b := NewBreaker(BreakerConfig{
-		Window: 8, FailureRate: 0.5, MinSamples: 4,
+		Window:            8,
 		ConsecutiveMisses: -1, // disable the consecutive trigger
 		OpenBase:          100 * time.Millisecond, OpenMax: time.Second,
 		Seed: 42, Clock: clk.Now,
 	})
-	// 3 failures in a row do not trip (consecutive disabled, <MinSamples).
+	// 3 failures in a row do not trip (consecutive disabled, window under half full).
 	b.Failure()
 	b.Failure()
 	b.Failure()
@@ -96,12 +94,28 @@ func TestBreakerOpensOnFailureRate(t *testing.T) {
 		t.Fatalf("unexpected state %v", b.State())
 	}
 	if b.State() == Open {
-		t.Fatal("tripped below MinSamples")
+		t.Fatal("tripped below half the window")
 	}
 	b.Success() // 3/4 = 75% ≥ 50% with 4 samples → trips on next outcome check
 	b.Failure() // 4/5 = 80%
 	if b.State() != Open {
 		t.Fatalf("state = %v, want open at 80%% window failure rate", b.State())
+	}
+}
+
+// TestBreakerOpensAtHalfFailed pins the rate rule's boundary: with half
+// the window filled, exactly half of it failed is enough to open.
+func TestBreakerOpensAtHalfFailed(t *testing.T) {
+	b := NewBreaker(BreakerConfig{Window: 8, ConsecutiveMisses: -1, Clock: newFakeClock().Now})
+	b.Success()
+	b.Failure()
+	b.Success()
+	if b.State() != Closed {
+		t.Fatalf("state = %v with the window under half full, want closed", b.State())
+	}
+	b.Failure() // 2 of 4
+	if b.State() != Open {
+		t.Fatalf("state = %v at 2 failures of 4 outcomes, want open", b.State())
 	}
 }
 

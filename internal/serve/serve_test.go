@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/halk-kg/halk/internal/autodiff"
 	"github.com/halk-kg/halk/internal/halk"
 	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/query"
@@ -287,13 +286,8 @@ func TestHealthz(t *testing.T) {
 // per-request deadline path.
 type slowModel struct{}
 
-func (slowModel) Name() string             { return "slow" }
-func (slowModel) Params() *autodiff.Params { return autodiff.NewParams() }
-func (slowModel) Supports(string) bool     { return true }
-func (slowModel) Loss(*autodiff.Tape, *query.Query, int, *rand.Rand) (autodiff.V, bool) {
-	return autodiff.V{}, false
-}
-func (slowModel) Distances(*query.Node) []float64 { return make([]float64, 4) }
+func (slowModel) Name() string          { return "slow" }
+func (slowModel) EntityVersion() uint64 { return 0 }
 func (slowModel) DistancesContext(ctx context.Context, _ *query.Node) ([]float64, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()

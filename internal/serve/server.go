@@ -36,7 +36,6 @@ import (
 
 	"github.com/halk-kg/halk/internal/ckpt"
 	"github.com/halk-kg/halk/internal/kg"
-	"github.com/halk-kg/halk/internal/model"
 	"github.com/halk-kg/halk/internal/obs"
 	"github.com/halk-kg/halk/internal/query"
 	"github.com/halk-kg/halk/internal/resil"
@@ -63,23 +62,27 @@ type Ranker interface {
 	ShardStats() []shard.ShardStats
 }
 
-// EntityVersioner is the optional model upgrade that lets the answer
-// cache key entries by entity-table version, so an embedding update
-// (e.g. halk.Model.SetEntityAnglesBatch) implicitly invalidates every
-// cached answer computed from the old table. halk.Model implements it; for
-// models that don't, the cache falls back to version 0 and FlushCache
-// remains the only invalidation.
-type EntityVersioner interface {
+// Model is what the Server asks of the served model; *halk.Model
+// implements it.
+type Model interface {
+	// Name labels /v1/healthz and /v1/stats.
+	Name() string
+	// DistancesContext scores every entity against n for the default
+	// full scan, aborting with the context's error once it is done.
+	DistancesContext(ctx context.Context, n *query.Node) ([]float64, error)
+	// EntityVersion is the entity-table version the default full scan
+	// answers from. An embedding update (halk.Model.SetEntityAnglesBatch)
+	// moves it, so the answer cache, which namespaces keys by it, never
+	// serves an answer computed from the old table.
 	EntityVersion() uint64
 }
 
 // Config assembles a Server.
 type Config struct {
 	// Model names the served model and, when Ranker is nil, answers
-	// "exact" requests by a full scan through Distances (DistancesContext
-	// when implemented, so the request deadline bounds the scan too).
-	// Required.
-	Model model.Interface
+	// "exact" requests by a full scan through DistancesContext, so the
+	// request deadline bounds the scan too. Required.
+	Model Model
 	// Entities and Relations resolve names in SPARQL / DSL requests and
 	// label answers. Required.
 	Entities  *kg.Dict
@@ -299,11 +302,10 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Workers reports the resolved number of ranking slots.
 func (s *Server) Workers() int { return s.cfg.Workers }
 
-// FlushCache drops every cached answer list. For models implementing
-// EntityVersioner (halk.Model does), embedding updates already make old
-// entries unreachable — cache keys are namespaced by entity version —
-// so this is only needed to reclaim memory or for models without
-// versioning.
+// FlushCache drops every cached answer list. Embedding updates already
+// make old entries unreachable — cache keys are namespaced by the
+// ranker's snapshot version, the model's entity version under the
+// default full scan — so this is only needed to reclaim memory.
 func (s *Server) FlushCache() { s.cache.Flush() }
 
 // Close drains the limiter — in-flight rankings finish, queued and
