@@ -7,15 +7,14 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 )
 
 // Tensor is a named, trainable parameter: a dense row-major matrix (or a
 // vector when Rows == 1). Grad accumulates gradients between optimizer
 // steps; M and Vm are the Adam moment buffers. All three are nil until
-// training needs them — Grad from the first backward pass into the
-// tensor (under mu), the moments from the first optimizer step or moment
-// checkpoint — so a process that only serves holds Data alone.
+// training needs them — Grad from the first Flush into the tensor, the
+// moments from the first optimizer step or moment checkpoint — so a
+// process that only serves holds Data alone.
 type Tensor struct {
 	Name string
 	Rows int
@@ -25,8 +24,6 @@ type Tensor struct {
 	Grad []float64
 	M    []float64
 	Vm   []float64
-
-	mu sync.Mutex
 }
 
 // Row returns the i-th row of the tensor's data.
@@ -40,14 +37,10 @@ func (t *Tensor) View() *Tensor {
 	return &Tensor{Name: t.Name, Rows: t.Rows, Cols: t.Cols, Data: t.Data}
 }
 
-// AddGrad accumulates g into the gradient of row i. It is safe for
-// concurrent use by multiple goroutines.
-func (t *Tensor) AddGrad(i int, g []float64) { t.addGrad(i*t.Cols, g) }
-
-// addGrad accumulates g into Grad[off:off+len(g)] under mu, which is
-// also the only place a backward pass allocates Grad.
+// addGrad accumulates g into Grad[off:off+len(g)]; it is the sink of
+// every leaf over the tensor, so it runs inside Tape.Flush, one flush
+// at a time, and is the only place a backward pass allocates Grad.
 func (t *Tensor) addGrad(off int, g []float64) {
-	t.mu.Lock()
 	if t.Grad == nil {
 		t.Grad = make([]float64, len(t.Data))
 	}
@@ -55,7 +48,6 @@ func (t *Tensor) addGrad(off int, g []float64) {
 	for j := range g {
 		gr[j] += g[j]
 	}
-	t.mu.Unlock()
 }
 
 // ZeroGrad clears accumulated gradients.
@@ -84,7 +76,7 @@ func (t *Tensor) Leaf(tape *Tape, i int) V {
 	if tape.forward {
 		return tape.push(t.Row(i), nil)
 	}
-	return tape.Leaf(t.Row(i), func(g []float64) { t.AddGrad(i, g) })
+	return tape.Leaf(t.Row(i), func(g []float64) { t.addGrad(i*t.Cols, g) })
 }
 
 // LeafAll registers the whole tensor (flattened) as a leaf; used for

@@ -4,11 +4,13 @@
 // All neural operator models in this repository (HaLk and the baselines)
 // are compositions of elementwise vector functions, small dense linear
 // layers and reductions. A tape records the forward computation; Backward
-// replays it in reverse, accumulating gradients into parameter tensors.
-// The tape is built per training sample and discarded, so the engine has
-// no global state and is safe to use from multiple goroutines as long as
-// each goroutine owns its tape (parameter gradient accumulation is the
-// caller's concern; see Params.AddGrad).
+// replays it in reverse (Sweep) and then hands each leaf's gradient to
+// its sink (Flush), accumulating into parameter tensors. The tape is
+// built per training sample and discarded, so the engine has no global
+// state and Sweep is safe to run from multiple goroutines as long as
+// each goroutine owns its tape. A tensor's sink takes no lock, so the
+// caller runs one Flush at a time, in a fixed order when the bits must
+// reproduce (see model.Train).
 //
 // Inference runs the same primitives on a forward-only tape
 // (NewForwardTape): the same arithmetic loops, hence the same bits,
@@ -38,7 +40,8 @@ func (v V) Grad() []float64 { return v.t.nodes[v.id].grad }
 type node struct {
 	value []float64
 	grad  []float64
-	back  func() // propagates node.grad into the inputs' grads; nil for leaves
+	back  func()               // propagates node.grad into the inputs' grads; nil for leaves
+	sink  func(grad []float64) // receives a leaf's final grad in Flush; nil otherwise
 }
 
 // Tape records a forward computation for reverse-mode differentiation.
@@ -146,7 +149,7 @@ func (t *Tape) Const(x []float64) V {
 func (t *Tape) Scalar(x float64) V { return t.Const([]float64{x}) }
 
 // Leaf records a differentiable input. sink, if non-nil, receives the
-// accumulated gradient when Backward reaches the leaf. The input slice is
+// accumulated gradient when Flush reaches the leaf. The input slice is
 // copied, except on a forward-only tape, which aliases it (and never
 // writes through the alias: values are read-only, see V.Value).
 func (t *Tape) Leaf(x []float64, sink func(grad []float64)) V {
@@ -155,21 +158,26 @@ func (t *Tape) Leaf(x []float64, sink func(grad []float64)) V {
 	}
 	v := t.alloc(len(x))
 	copy(v, x)
-	var res V
-	res = t.push(v, func() {
-		if sink != nil {
-			sink(t.nodes[res.id].grad)
-		}
-	})
+	res := t.push(v, nil)
+	t.nodes[res.id].sink = sink
 	return res
 }
 
-// Backward seeds the gradient of root with 1 in every component and
-// propagates gradients to all ancestors. root is typically a scalar loss.
-// It panics on a forward-only tape, which recorded nothing to replay.
+// Backward seeds the gradient of root with 1 in every component,
+// propagates gradients to all ancestors and hands the leaves' gradients
+// to their sinks: Sweep then Flush. root is typically a scalar loss.
 func (t *Tape) Backward(root V) {
+	t.Sweep(root)
+	t.Flush(root)
+}
+
+// Sweep seeds the gradient of root with 1 in every component and
+// propagates gradients to all ancestors, touching nothing outside the
+// tape. It panics on a forward-only tape, which recorded nothing to
+// replay.
+func (t *Tape) Sweep(root V) {
 	if t.forward {
-		panic("autodiff: Backward on a forward-only tape")
+		panic("autodiff: backward pass on a forward-only tape")
 	}
 	g := t.nodes[root.id].grad
 	for i := range g {
@@ -178,6 +186,17 @@ func (t *Tape) Backward(root V) {
 	for i := root.id; i >= 0; i-- {
 		if t.nodes[i].back != nil {
 			t.nodes[i].back()
+		}
+	}
+}
+
+// Flush hands each leaf recorded at or before root its gradient from
+// the last Sweep of root, latest leaf first: the order in which the
+// sweep completes them.
+func (t *Tape) Flush(root V) {
+	for i := root.id; i >= 0; i-- {
+		if nd := &t.nodes[i]; nd.sink != nil {
+			nd.sink(nd.grad)
 		}
 	}
 }

@@ -314,3 +314,28 @@ func TestAddLengthMismatchPanics(t *testing.T) {
 	tp := NewTape()
 	tp.Add(tp.Const([]float64{1}), tp.Const([]float64{1, 2}))
 }
+
+// TestSweepLeavesSinksToFlush: Sweep fills the tape's gradients without
+// calling a sink; Flush then hands each leaf its gradient, latest leaf
+// first, as Backward always has.
+func TestSweepLeavesSinksToFlush(t *testing.T) {
+	tp := NewTape()
+	var order []string
+	sink := func(name string) func([]float64) {
+		return func([]float64) { order = append(order, name) }
+	}
+	a := tp.Leaf([]float64{2}, sink("a"))
+	b := tp.Leaf([]float64{3}, sink("b"))
+	out := tp.Sum(tp.Mul(a, b))
+	tp.Sweep(out)
+	if len(order) != 0 {
+		t.Fatalf("Sweep called sinks %v", order)
+	}
+	if ga, gb := a.Grad()[0], b.Grad()[0]; ga != 3 || gb != 2 {
+		t.Fatalf("swept grads = %g, %g, want 3, 2", ga, gb)
+	}
+	tp.Flush(out)
+	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
+		t.Fatalf("Flush order = %v, want [b a]", order)
+	}
+}

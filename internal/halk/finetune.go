@@ -112,7 +112,7 @@ func (m *Model) FineTuneEdges(added, removed []kg.Triple, cfg FineTuneConfig) (F
 	edges, lossSum := 0, 0.0
 
 	// Forward + backward over the live parameters, accumulating
-	// gradients into the tensors' mutex-protected sinks.
+	// gradients into the tensors; m.mu keeps every other writer out.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, tr := range added {

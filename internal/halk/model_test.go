@@ -331,10 +331,6 @@ func TestTrainingImprovesRanking(t *testing.T) {
 		LR:                  0.01,
 		Seed:                33,
 		Structures:          []string{"1p", "2p"},
-		// Workers: 0 accumulates gradients in goroutine-completion order,
-		// so Seed alone does not pin the trained table; 1 is the
-		// bit-deterministic setting and makes the strict > below stable.
-		Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

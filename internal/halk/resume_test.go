@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,9 +14,9 @@ import (
 	"github.com/halk-kg/halk/internal/model"
 )
 
-// resumeTrainConfig is a tiny fully deterministic training budget:
-// Workers: 1 pins the gradient accumulation order, so two runs with the
-// same seed are bit-identical — the precondition for asserting that a
+// resumeTrainConfig is a tiny training budget. Train adds gradients in
+// batch order at any worker count, so two runs with the same seed are
+// bit-identical — the precondition for asserting that a
 // crashed-and-resumed run reproduces an uninterrupted one byte for byte.
 func resumeTrainConfig(steps int) model.TrainConfig {
 	return model.TrainConfig{
@@ -27,7 +28,6 @@ func resumeTrainConfig(steps int) model.TrainConfig {
 		LRDecay:             true,
 		Seed:                77,
 		Structures:          []string{"1p", "2p", "2i"},
-		Workers:             1,
 	}
 }
 
@@ -220,5 +220,32 @@ func TestResumeFromEveryCheckpoint(t *testing.T) {
 		if !bytes.Equal(paramBytes(t, m), want) {
 			t.Fatalf("resume from step %d diverged from reference", e.Step)
 		}
+	}
+}
+
+// TestWorkerCountCannotChangeTraining trains one tiny budget on one
+// core and on four: Train flushes gradients in batch order, so the
+// final checkpoint payloads — parameters plus Adam moments — must be
+// equal byte for byte.
+func TestWorkerCountCannotChangeTraining(t *testing.T) {
+	const steps = 12
+	ds := kg.SynthFB237(7)
+	payload := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		dir := &ckpt.Dir{Path: filepath.Join(t.TempDir(), "ckpts"), Keep: 1}
+		m := New(ds.Train, testConfig(7))
+		tc := resumeTrainConfig(steps)
+		tc.Checkpoint = &model.CheckpointConfig{Dir: dir, Header: headerFunc(m, "FB237", 7)}
+		if _, err := model.Train(m, ds.Train, tc); err != nil {
+			t.Fatalf("Train at GOMAXPROCS %d: %v", procs, err)
+		}
+		b, err := ckpt.ReadFile(filepath.Join(dir.Path, ckpt.EntryName(steps)))
+		if err != nil {
+			t.Fatalf("read final entry at GOMAXPROCS %d: %v", procs, err)
+		}
+		return b
+	}
+	if one, four := payload(1), payload(4); !bytes.Equal(one, four) {
+		t.Fatalf("checkpoint payload at GOMAXPROCS 1 differs from GOMAXPROCS 4 (len %d vs %d)", len(one), len(four))
 	}
 }

@@ -84,14 +84,6 @@ type TrainConfig struct {
 	// checkpoint lifecycle: periodic crash-safe checkpoints, a final
 	// checkpoint on interrupt, and exact resume. See CheckpointConfig.
 	Checkpoint *CheckpointConfig
-	// Workers caps the parallel gradient workers per batch; 0 means
-	// GOMAXPROCS. With Workers: 1 gradients accumulate in batch order,
-	// making training bit-deterministic — the setting under which
-	// crash + resume is verified to reproduce an uninterrupted run
-	// byte for byte. With more workers, resume still restores the RNG,
-	// optimizer and parameters exactly, but the floating-point
-	// accumulation order across workers is scheduling-dependent.
-	Workers int
 }
 
 // gradNormBuckets spans the gradient norms seen across the model zoo:
@@ -164,7 +156,9 @@ type TrainResult struct {
 }
 
 // Train runs the structure-batched training loop of Algorithm 1 on the
-// model against the training graph.
+// model against the training graph. It runs up to GOMAXPROCS instances
+// of a batch at once, and cfg.Seed fixes the result bit for bit at any
+// GOMAXPROCS.
 func Train(m Interface, g *kg.Graph, cfg TrainConfig) (TrainResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -202,16 +196,7 @@ func Train(m Interface, g *kg.Graph, cfg TrainConfig) (TrainResult, error) {
 	}
 
 	opt := autodiff.NewAdam(cfg.LR)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.BatchSize {
-		workers = cfg.BatchSize
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), cfg.BatchSize))
 	tapes := make([]*autodiff.Tape, workers)
 	for i := range tapes {
 		tapes[i] = autodiff.NewTape()
@@ -298,9 +283,11 @@ func Train(m Interface, g *kg.Graph, cfg TrainConfig) (TrainResult, error) {
 		w := workloads[structure]
 
 		// Pre-draw the batch and per-instance RNG seeds on the main
-		// goroutine so training is deterministic regardless of worker
-		// scheduling; instances then run in parallel, accumulating
-		// gradients through the tensors' mutex-protected sinks.
+		// goroutine. Instances then run loss and sweep in parallel, but
+		// flush their gradients into the shared tensors in batch order:
+		// job b waits on turn[b] and opens turn[b+1], so the tensors see
+		// the same sequence of additions, hence the same bits, at every
+		// worker count.
 		type job struct {
 			q    *query.Query
 			seed int64
@@ -309,6 +296,11 @@ func Train(m Interface, g *kg.Graph, cfg TrainConfig) (TrainResult, error) {
 		for b := range jobs {
 			jobs[b] = job{q: &w[rng.Intn(len(w))], seed: rng.Int63()}
 		}
+		turn := make([]chan struct{}, len(jobs)+1)
+		for b := range turn {
+			turn[b] = make(chan struct{})
+		}
+		close(turn[0])
 
 		losses := make([]float64, cfg.BatchSize)
 		used := make([]bool, cfg.BatchSize)
@@ -322,12 +314,16 @@ func Train(m Interface, g *kg.Graph, cfg TrainConfig) (TrainResult, error) {
 					local.Seed(jobs[b].seed)
 					tapes[wk].Reset()
 					loss, ok := m.Loss(tapes[wk], jobs[b].q, cfg.NegSamples, local)
-					if !ok {
-						continue
+					if ok {
+						tapes[wk].Sweep(loss)
+						losses[b] = loss.Value()[0]
+						used[b] = true
 					}
-					tapes[wk].Backward(loss)
-					losses[b] = loss.Value()[0]
-					used[b] = true
+					<-turn[b]
+					if ok {
+						tapes[wk].Flush(loss)
+					}
+					close(turn[b+1])
 				}
 			}(wk)
 		}
