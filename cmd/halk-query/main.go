@@ -32,20 +32,22 @@ import (
 	"github.com/halk-kg/halk/internal/halk"
 	"github.com/halk-kg/halk/internal/kg"
 	"github.com/halk-kg/halk/internal/query"
+	"github.com/halk-kg/halk/internal/serve"
 	"github.com/halk-kg/halk/internal/sparql"
 	"github.com/halk-kg/halk/internal/viz"
 )
 
 // queryServer posts the query to a running halk-serve or halk-shard
-// process through the cluster wire protocol and prints the ranked
-// answers. No checkpoint is loaded, so there is no local ground truth
-// to mark.
+// process as serve.QueryRequest, decodes the reply as
+// cluster.RangeQueryResponse (halk-serve leaves the range zero), and
+// prints the ranked answers. No checkpoint is loaded, so there is no
+// local ground truth to mark.
 func queryServer(server, sparqlSrc, dsl, structure string, seed int64, k int, timeout time.Duration) {
 	base := strings.TrimSuffix(server, "/")
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	req := &cluster.QueryRequest{
+	req := &serve.QueryRequest{
 		SPARQL:    sparqlSrc,
 		Query:     dsl,
 		Structure: structure,
@@ -57,7 +59,7 @@ func queryServer(server, sparqlSrc, dsl, structure string, seed int64, k int, ti
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout+2*time.Second)
 	defer cancel()
-	var resp cluster.QueryResponse
+	var resp cluster.RangeQueryResponse
 	if err := cluster.DoJSON(ctx, cluster.NewHTTPClient(), http.MethodPost, base+"/v1/query", req, &resp); err != nil {
 		log.Fatal(err)
 	}

@@ -206,15 +206,8 @@ func main() {
 		// each range's replica set. The -hedge-delay and -breaker flags
 		// apply per replica instead of per local shard.
 		rcfg := cluster.Config{
-			Ranges: topology,
-			Embed: func(n *query.Node) []cluster.ArcSpec {
-				arcs := m.EmbedQuery(n)
-				specs := make([]cluster.ArcSpec, len(arcs))
-				for i, a := range arcs {
-					specs[i] = cluster.ArcSpec{C: a.C, L: a.L, Hot: a.Hot}
-				}
-				return specs
-			},
+			Ranges:      topology,
+			Embed:       m.EmbedQuery,
 			ScanTimeout: *remoteTO,
 			HedgeDelay:  *hedge,
 			Breaker:     brkCfg,
@@ -224,11 +217,12 @@ func main() {
 		// Identity-probe query: a deterministic sample from the test
 		// split, embedded on demand so probes reflect the served
 		// parameters. Joining replicas must answer it byte-identically to
-		// an active sibling before they enter the failover pool.
+		// an active sibling before they enter the failover pool. Without
+		// one NewRouter refuses the topology.
 		ps := query.NewSampler(ds.Test, rand.New(rand.NewSource(1)))
 		for _, kind := range []string{"2p", "1p", "2i"} {
 			if q, ok := ps.Sample(kind); ok {
-				rcfg.Probe = func() []cluster.ArcSpec { return rcfg.Embed(q) }
+				rcfg.Probe = func() []cluster.ArcSpec { return m.EmbedQuery(q) }
 				break
 			}
 		}

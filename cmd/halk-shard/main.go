@@ -55,7 +55,6 @@ import (
 	"github.com/halk-kg/halk/internal/cluster"
 	"github.com/halk-kg/halk/internal/halk"
 	"github.com/halk-kg/halk/internal/obs"
-	"github.com/halk-kg/halk/internal/query"
 	"github.com/halk-kg/halk/internal/shard"
 )
 
@@ -127,22 +126,15 @@ func main() {
 	}
 
 	node, err := cluster.NewNode(cluster.NodeConfig{
-		Engine:    ranker.Engine(),
-		Params:    m.ShardParams(),
-		Metrics:   reg,
-		Ckpt:      status,
-		ModelName: m.Name(),
-		Entities:  ds.Train.Entities,
-		Relations: ds.Train.Relations,
-		Graph:     ds.Test,
-		Embed: func(n *query.Node) []cluster.ArcSpec {
-			arcs := m.EmbedQuery(n)
-			specs := make([]cluster.ArcSpec, len(arcs))
-			for i, a := range arcs {
-				specs[i] = cluster.ArcSpec{C: a.C, L: a.L, Hot: a.Hot}
-			}
-			return specs
-		},
+		Engine:         ranker.Engine(),
+		Params:         m.ShardParams(),
+		Metrics:        reg,
+		Ckpt:           status,
+		ModelName:      m.Name(),
+		Entities:       ds.Train.Entities,
+		Relations:      ds.Train.Relations,
+		Graph:          ds.Test,
+		Embed:          m.EmbedQuery,
 		DefaultTimeout: *timeout,
 		MaxK:           *maxK,
 	})

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -30,15 +32,11 @@ func testModel(seed int64) (*halk.Model, *kg.Dataset) {
 	return halk.New(ds.Train, cfg), ds
 }
 
-func embedFn(m *halk.Model) func(n *query.Node) []ArcSpec {
-	return func(n *query.Node) []ArcSpec {
-		arcs := m.EmbedQuery(n)
-		specs := make([]ArcSpec, len(arcs))
-		for i, a := range arcs {
-			specs[i] = ArcSpec{C: a.C, L: a.L, Hot: a.Hot}
-		}
-		return specs
-	}
+// fixedProbe is the test routers' identity probe query: one projection
+// of entity 0 along relation 0.
+func fixedProbe(m *halk.Model) func() []ArcSpec {
+	q := query.NewProjection(0, query.NewAnchor(0))
+	return func() []ArcSpec { return m.EmbedQuery(q) }
 }
 
 // testNode is one loopback shard node: a RangeRanker over [lo, hi) of
@@ -69,7 +67,7 @@ func startNode(t *testing.T, m *halk.Model, ds *kg.Dataset, lo, hi int, mutate f
 		Entities:  ds.Train.Entities,
 		Relations: ds.Train.Relations,
 		Graph:     ds.Test,
-		Embed:     embedFn(m),
+		Embed:     m.EmbedQuery,
 		Faults:    inj,
 		PanicLog:  log.New(io.Discard, "", 0),
 	}
@@ -114,7 +112,8 @@ func newTestRouter(t *testing.T, m *halk.Model, nodes []*testNode, mutate func(*
 	}
 	cfg := Config{
 		Ranges:  ranges,
-		Embed:   embedFn(m),
+		Embed:   m.EmbedQuery,
+		Probe:   fixedProbe(m),
 		Metrics: obs.NewRegistry(),
 	}
 	if mutate != nil {
@@ -220,7 +219,7 @@ func TestNodeScanBound(t *testing.T) {
 	if !ok {
 		t.Fatal("sampling 2p failed")
 	}
-	specs := embedFn(m)(q)
+	specs := m.EmbedQuery(q)
 
 	full, err := remote.Scan(context.Background(), &ScanRequest{Arcs: specs, K: 10})
 	if err != nil {
@@ -258,7 +257,7 @@ func TestNodeScanRejectsShortHot(t *testing.T) {
 	if !ok {
 		t.Fatal("sampling 2i failed")
 	}
-	specs := embedFn(m)(q)
+	specs := m.EmbedQuery(q)
 	for _, cut := range []int{len(specs[0].Hot), 2} {
 		bad := append([]ArcSpec(nil), specs...)
 		bad[0].Hot = bad[0].Hot[:len(bad[0].Hot)-cut]
@@ -290,7 +289,7 @@ func TestNodeBoundsInput(t *testing.T) {
 	if !ok {
 		t.Fatal("sampling 1p failed")
 	}
-	spec := embedFn(m)(q)[0]
+	spec := m.EmbedQuery(q)[0]
 	for _, n := range []int{serve.MaxDisjuncts, serve.MaxDisjuncts + 1} {
 		arcs := make([]ArcSpec, n)
 		for i := range arcs {
@@ -356,6 +355,112 @@ func TestNodeHealthz(t *testing.T) {
 	}
 	if !h.CkptLoaded {
 		t.Fatal("CkptLoaded = false for a published snapshot")
+	}
+}
+
+// TestNodeRepliesExtendServe pins the wire shapes a node shares with
+// halk-serve: the same structure-sampled /v1/query and the same
+// GET /v1/healthz, sent to a halk-serve and to a node over the whole
+// table of one model, answer with every key halk-serve sends at the
+// same value (bar elapsed time), plus only the node's hosted range and
+// its version or queue depth. Both replies decode, with no unknown
+// field, through the types halk-query and the router's prober read. A
+// mode other than "exact" is the same 400 from both.
+func TestNodeRepliesExtendServe(t *testing.T) {
+	m, ds := testModel(61)
+	tn := startNode(t, m, ds, 0, ds.Train.NumEntities(), func(c *NodeConfig) { c.ModelName = m.Name() })
+	ranker, err := m.NewShardedRanker(shard.Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{
+		Model:     m,
+		Entities:  ds.Train.Entities,
+		Relations: ds.Train.Relations,
+		Graph:     ds.Test,
+		Ranker:    ranker,
+	})
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+		ranker.Close()
+	})
+
+	// get sends one request, expects status code, and returns the raw
+	// body and its keys.
+	get := func(url, body string, code int) ([]byte, map[string]json.RawMessage) {
+		t.Helper()
+		var res *http.Response
+		var err error
+		if body == "" {
+			res, err = http.Get(url)
+		} else {
+			res, err = http.Post(url, "application/json", strings.NewReader(body))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		raw, err := io.ReadAll(res.Body)
+		if err != nil || res.StatusCode != code {
+			t.Fatalf("%s: status %d, err %v, body %s", url, res.StatusCode, err, raw)
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &keys); err != nil {
+			t.Fatal(err)
+		}
+		return raw, keys
+	}
+	// strict decodes raw into v, refusing a key v has no field for.
+	strict := func(raw []byte, v any) {
+		t.Helper()
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(v); err != nil {
+			t.Fatalf("decoding %s into %T: %v", raw, v, err)
+		}
+	}
+	// Keys only a node sends: must always, may when nonzero.
+	for _, tc := range []struct {
+		path, body string
+		code       int
+		must, may  []string
+		decode     func(raw []byte)
+	}{
+		{"/v1/query", `{"structure":"2i","seed":7,"k":6}`, http.StatusOK, []string{"hi", "version"}, []string{"lo"},
+			func(raw []byte) { strict(raw, new(RangeQueryResponse)) }},
+		{"/v1/healthz", "", http.StatusOK, []string{"lo", "hi"}, []string{"queue_depth"},
+			func(raw []byte) { strict(raw, new(Health)) }},
+		{"/v1/query", `{"structure":"1p","mode":"approx","k":3}`, http.StatusBadRequest, nil, nil,
+			func(raw []byte) { strict(raw, new(serve.ErrorResponse)) }},
+	} {
+		serveRaw, serveKeys := get(ts.URL+tc.path, tc.body, tc.code)
+		nodeRaw, nodeKeys := get(tn.addr()+tc.path, tc.body, tc.code)
+		for key, v := range serveKeys {
+			nv, ok := nodeKeys[key]
+			switch {
+			case !ok:
+				t.Errorf("%s: node omits %q, which halk-serve sends", tc.path, key)
+			case key != "elapsed_ms" && !bytes.Equal(nv, v):
+				t.Errorf("%s: %q is %s on the node, %s on halk-serve", tc.path, key, nv, v)
+			}
+		}
+		for _, key := range tc.must {
+			if _, ok := nodeKeys[key]; !ok {
+				t.Errorf("%s: node omits %q", tc.path, key)
+			}
+		}
+		for key := range nodeKeys {
+			if _, shared := serveKeys[key]; !shared && !slices.Contains(tc.must, key) && !slices.Contains(tc.may, key) {
+				t.Errorf("%s: node sends %q, want only halk-serve's keys plus %v and %v", tc.path, key, tc.must, tc.may)
+			}
+		}
+		tc.decode(serveRaw)
+		tc.decode(nodeRaw)
 	}
 }
 

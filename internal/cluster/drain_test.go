@@ -90,7 +90,7 @@ func TestNodeDrainKeepsServingScans(t *testing.T) {
 	if !ok {
 		t.Fatal("sampling 1p failed")
 	}
-	specs := embedFn(m)(q)
+	specs := m.EmbedQuery(q)
 
 	want, err := remote.Scan(context.Background(), &ScanRequest{Arcs: specs, K: 5})
 	if err != nil {
@@ -145,7 +145,7 @@ func TestNodeQueueDepthReported(t *testing.T) {
 	if !ok {
 		t.Fatal("sampling 1p failed")
 	}
-	specs := embedFn(m)(q)
+	specs := m.EmbedQuery(q)
 
 	// Idle: a lone scan reports no other work queued behind it.
 	resp, err := remote.Scan(context.Background(), &ScanRequest{Arcs: specs, K: 5})

@@ -102,9 +102,9 @@ var (
 )
 
 // list returns the range's current replica-set snapshot. The slice is
-// copy-on-write: membership operations swap in a fresh slice under the
-// router's topoMu, so holders of a snapshot (gathers in flight, the
-// health sweep) iterate stably without locks.
+// copy-on-write: the router's one topology writer (edit) swaps in a
+// fresh slice under topoMu, so holders of a snapshot (gathers in
+// flight, the health sweep) iterate stably without locks.
 func (rs *rangeSet) list() []*replica { return *rs.reps.Load() }
 
 func (rs *rangeSet) contains(rep *replica) bool {
@@ -185,32 +185,20 @@ func (rt *Router) Join(ri int, addr string) error {
 	if addr == "" {
 		return fmt.Errorf("%w: empty address", ErrBadReplica)
 	}
-	if !rt.drain.Enter() {
-		return shard.ErrClosed
-	}
-	defer rt.drain.Exit()
-	rt.topoMu.Lock()
-	defer rt.topoMu.Unlock()
-	if ri < 0 || ri >= len(rt.ranges) {
-		return fmt.Errorf("%w: range %d of %d", ErrUnknownRange, ri, len(rt.ranges))
-	}
-	for _, rs := range rt.ranges {
-		for _, rep := range rs.list() {
-			if rep.addr == addr {
-				return fmt.Errorf("%w: %s already serves range %d", ErrDuplicateReplica, addr, rs.index)
+	return rt.edit(func(top [][]string) error {
+		if ri < 0 || ri >= len(top) {
+			return fmt.Errorf("%w: range %d of %d", ErrUnknownRange, ri, len(top))
+		}
+		for i, addrs := range top {
+			for _, a := range addrs {
+				if a == addr {
+					return fmt.Errorf("%w: %s already serves range %d", ErrDuplicateReplica, addr, i)
+				}
 			}
 		}
-	}
-	rs := rt.ranges[ri]
-	rep := rt.newReplica(ri, addr, StateProbation)
-	cur := rs.list()
-	next := make([]*replica, 0, len(cur)+1)
-	next = append(append(next, cur...), rep)
-	rs.reps.Store(&next)
-	rt.topoVersion.Add(1)
-	rt.logf("cluster: replica %s joined range %d in probation (topology v%d)", addr, ri, rt.topoVersion.Load())
-	rt.ensureProber(rs, rep)
-	return nil
+		top[ri] = append(top[ri], addr)
+		return nil
+	})
 }
 
 // Leave removes addr from the topology. In-flight gathers holding the
@@ -222,27 +210,21 @@ func (rt *Router) Leave(addr string) error {
 	if addr == "" {
 		return fmt.Errorf("%w: empty address", ErrBadReplica)
 	}
-	rt.topoMu.Lock()
-	defer rt.topoMu.Unlock()
-	for _, rs := range rt.ranges {
-		cur := rs.list()
-		for i, rep := range cur {
-			if rep.addr != addr {
-				continue
+	return rt.edit(func(top [][]string) error {
+		for ri, addrs := range top {
+			for i, a := range addrs {
+				if a != addr {
+					continue
+				}
+				if len(addrs) == 1 {
+					return fmt.Errorf("%w: %s is range %d's only replica; join a replacement first", ErrLastReplica, addr, ri)
+				}
+				top[ri] = append(addrs[:i:i], addrs[i+1:]...)
+				return nil
 			}
-			if len(cur) == 1 {
-				return fmt.Errorf("%w: %s is range %d's only replica; join a replacement first", ErrLastReplica, addr, rs.index)
-			}
-			next := make([]*replica, 0, len(cur)-1)
-			next = append(append(next, cur[:i]...), cur[i+1:]...)
-			rs.reps.Store(&next)
-			rs.primary.CompareAndSwap(rep, nil)
-			rt.topoVersion.Add(1)
-			rt.logf("cluster: replica %s left range %d (topology v%d)", addr, rs.index, rt.topoVersion.Load())
-			return nil
 		}
-	}
-	return fmt.Errorf("%w: %s", ErrUnknownReplica, addr)
+		return fmt.Errorf("%w: %s", ErrUnknownReplica, addr)
+	})
 }
 
 // SetTopology swaps the whole replica topology to ranges — the
@@ -250,18 +232,42 @@ func (rt *Router) Leave(addr string) error {
 // match the running topology (boundary changes are rejected); within a
 // range, kept replicas keep their state, stats and breaker, removed
 // replicas vanish from new gathers, and added replicas enter in
-// Probation exactly like Join. The swap is atomic per range and all
-// validation happens before any range changes.
+// Probation exactly like Join.
 func (rt *Router) SetTopology(ranges [][]string) error {
-	if len(ranges) != len(rt.ranges) {
-		return fmt.Errorf("%w: running %d ranges, new topology has %d", ErrRangeCountChange, len(rt.ranges), len(ranges))
+	return rt.edit(func(top [][]string) error {
+		if len(ranges) != len(top) {
+			return fmt.Errorf("%w: running %d ranges, new topology has %d", ErrRangeCountChange, len(top), len(ranges))
+		}
+		copy(top, ranges)
+		return nil
+	})
+}
+
+// edit is the topology's one writer. Under topoMu it hands change a
+// copy of the current address lists, validates what change leaves there
+// (no empty range, no empty or repeated address) and applies it, all or
+// nothing: a range's kept replicas keep their state, stats and breaker,
+// a removed replica stops being its range's primary, and a new one
+// enters in Probation with its prober started. The topology version bumps once
+// per effective change; an edit that leaves every range's membership as
+// it was changes nothing.
+func (rt *Router) edit(change func(top [][]string) error) error {
+	if !rt.drain.Enter() {
+		return shard.ErrClosed
 	}
-	seen := make(map[string]int, len(ranges))
-	for i, reps := range ranges {
-		if len(reps) == 0 {
+	defer rt.drain.Exit()
+	rt.topoMu.Lock()
+	defer rt.topoMu.Unlock()
+	top := rt.Topology()
+	if err := change(top); err != nil {
+		return err
+	}
+	seen := make(map[string]int)
+	for i, addrs := range top {
+		if len(addrs) == 0 {
 			return fmt.Errorf("%w: range %d has no replicas", ErrBadReplica, i)
 		}
-		for _, addr := range reps {
+		for _, addr := range addrs {
 			if strings.TrimSpace(addr) == "" {
 				return fmt.Errorf("%w: range %d has an empty address", ErrBadReplica, i)
 			}
@@ -271,19 +277,12 @@ func (rt *Router) SetTopology(ranges [][]string) error {
 			seen[addr] = i
 		}
 	}
-	if !rt.drain.Enter() {
-		return shard.ErrClosed
-	}
-	defer rt.drain.Exit()
-	rt.topoMu.Lock()
-	defer rt.topoMu.Unlock()
-	changed := false
-	type added struct {
+	type member struct {
 		rs  *rangeSet
 		rep *replica
 	}
-	var joins []added
-	for i, want := range ranges {
+	var joins, leaves []member
+	for i, want := range top {
 		rs := rt.ranges[i]
 		cur := rs.list()
 		keep := make(map[string]*replica, len(cur))
@@ -291,7 +290,7 @@ func (rt *Router) SetTopology(ranges [][]string) error {
 			keep[rep.addr] = rep
 		}
 		next := make([]*replica, 0, len(want))
-		rangeChanged := len(want) != len(cur)
+		added := len(joins)
 		for _, addr := range want {
 			if rep, ok := keep[addr]; ok {
 				next = append(next, rep)
@@ -300,23 +299,29 @@ func (rt *Router) SetTopology(ranges [][]string) error {
 			}
 			rep := rt.newReplica(i, addr, StateProbation)
 			next = append(next, rep)
-			joins = append(joins, added{rs, rep})
-			rangeChanged = true
+			joins = append(joins, member{rs, rep})
 		}
-		if !rangeChanged {
+		if len(joins) == added && len(keep) == 0 {
 			continue
 		}
-		for _, rep := range keep { // removed: clear a stale primary pick
+		for _, rep := range keep {
 			rs.primary.CompareAndSwap(rep, nil)
+			leaves = append(leaves, member{rs, rep})
 		}
 		rs.reps.Store(&next)
-		changed = true
 	}
-	if changed {
-		rt.topoVersion.Add(1)
-		rt.logf("cluster: topology swapped to v%d (%d ranges, %d joining in probation)",
-			rt.topoVersion.Load(), len(ranges), len(joins))
+	if len(joins)+len(leaves) == 0 {
+		return nil
 	}
+	v := rt.topoVersion.Add(1)
+	names := func(ms []member) []string {
+		out := make([]string, len(ms))
+		for i, m := range ms {
+			out[i] = fmt.Sprintf("%s (range %d)", m.rep.addr, m.rs.index)
+		}
+		return out
+	}
+	rt.logf("cluster: topology v%d: joined in probation %v, left %v", v, names(joins), names(leaves))
 	for _, j := range joins {
 		rt.ensureProber(j.rs, j.rep)
 	}
@@ -391,12 +396,12 @@ func (rt *Router) probeLoop(rs *rangeSet, rep *replica) {
 //  3. version: its entity version equals the router's served version
 //     (a lagging or leading checkpoint keeps it out until the quorum
 //     flip catches up — version-pinned gathers could never use it);
-//  4. identity: a probe scan (the configured probe query, falling back
-//     to the last gather's arcs) answers byte-identically — IDs, exact
-//     distance bits, snapshot version — to a current active replica.
+//  4. identity: a scan of the configured probe query (Config.Probe)
+//     answers byte-identically — IDs, exact distance bits, snapshot
+//     version — to a current active replica.
 //
-// Checks that have no ground truth available (no peer, no probe arcs)
-// are skipped rather than failed: a range whose every replica died
+// Checks that have no ground truth available (no active peer) are
+// skipped rather than failed: a range whose every replica died
 // must be able to re-admit its first returnee on health alone.
 func (rt *Router) probeOnce(rs *rangeSet, rep *replica) error {
 	rep.st.probes.Inc()
@@ -419,15 +424,14 @@ func (rt *Router) probeOnce(rs *rangeSet, rep *replica) error {
 	if v := rt.version.Load(); v != 0 && h.EntityVersion != v {
 		return fmt.Errorf("entity version %d != served %d", h.EntityVersion, v)
 	}
-	specs := rt.probeSpecs()
 	ref := rs.activePeer(rep)
-	if len(specs) == 0 || ref == nil {
-		// No probe query or no reference replica: health is the best
-		// available evidence. Record it and admit.
+	if ref == nil {
+		// No reference replica: health is the best available evidence.
+		// Record it and admit.
 		rep.st.setHealth(h, true)
 		return nil
 	}
-	req := &ScanRequest{Arcs: specs, K: probeK}
+	req := &ScanRequest{Arcs: rt.cfg.Probe(), K: probeK}
 	got, err := rep.remote.Scan(ctx, req)
 	if err != nil {
 		return fmt.Errorf("probe scan: %w", err)
@@ -451,21 +455,6 @@ func (rt *Router) probeOnce(rs *rangeSet, rep *replica) error {
 		}
 	}
 	rep.st.setHealth(h, true)
-	return nil
-}
-
-// probeSpecs resolves the arcs an identity probe scans: the configured
-// probe query when set, else the last gather's embedded arcs (captured
-// by RankTopK), else nil.
-func (rt *Router) probeSpecs() []ArcSpec {
-	if rt.cfg.Probe != nil {
-		if specs := rt.cfg.Probe(); len(specs) > 0 {
-			return specs
-		}
-	}
-	if p := rt.lastSpecs.Load(); p != nil {
-		return *p
-	}
 	return nil
 }
 

@@ -261,6 +261,9 @@ func TestMembershipErrors(t *testing.T) {
 	if err := rt.Join(0, "late:1"); !errors.Is(err, shard.ErrClosed) {
 		t.Fatalf("join after Close err = %v, want shard.ErrClosed", err)
 	}
+	if err := rt.Leave(nodes[1][0].addr()); !errors.Is(err, shard.ErrClosed) {
+		t.Fatalf("leave after Close err = %v, want shard.ErrClosed", err)
+	}
 }
 
 // TestSetTopologySwap pins the cluster-file reload semantics: the range
@@ -596,9 +599,9 @@ func TestGatherReplansWhenMembershipMoved(t *testing.T) {
 		t.Fatalf("baseline: %v", err)
 	}
 	router, err := NewRouter(Config{
-		Ranges: [][]string{{front.URL}}, Embed: embedFn(m), Metrics: obs.NewRegistry(), Seed: 1,
+		Ranges: [][]string{{front.URL}}, Embed: m.EmbedQuery, Metrics: obs.NewRegistry(), Seed: 1,
 		ScanTimeout: 2 * time.Second, ProbeBase: 2 * time.Millisecond, ProbeMax: 10 * time.Millisecond,
-		Probe: func() []ArcSpec { return embedFn(m)(q) },
+		Probe: func() []ArcSpec { return m.EmbedQuery(q) },
 	})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
@@ -642,7 +645,7 @@ func TestMembershipChaosRollingRestart(t *testing.T) {
 	rt := newReplicaRouter(t, m, nodes, func(c *Config) {
 		c.ScanTimeout = 2 * time.Second
 		fastProbes(c)
-		c.Probe = func() []ArcSpec { return embedFn(m)(probeQ) }
+		c.Probe = func() []ArcSpec { return m.EmbedQuery(probeQ) }
 		c.Logf = t.Logf
 	})
 	rt.CheckHealth(context.Background())

@@ -186,12 +186,8 @@ func (n *Node) handleDrain(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": HealthDraining})
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 func fail(w http.ResponseWriter, code int, format string, args ...any) {
-	serve.WriteJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
+	serve.WriteJSON(w, code, serve.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 // maxBodyBytes caps a node request body at four times the largest legal
@@ -316,14 +312,16 @@ func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	lo, hi := n.cfg.Engine.EntityRange()
 	h := Health{
-		Status:        "ok",
-		Model:         n.cfg.ModelName,
-		Entities:      hi - lo,
-		EntityVersion: n.cfg.Engine.Version(),
-		Shards:        n.cfg.Engine.NumShards(),
-		Lo:            lo,
-		Hi:            hi,
-		Queue:         int(n.inflight.Load()),
+		Health: serve.Health{
+			Status:        "ok",
+			Model:         n.cfg.ModelName,
+			Entities:      hi - lo,
+			EntityVersion: n.cfg.Engine.Version(),
+			Shards:        n.cfg.Engine.NumShards(),
+		},
+		Lo:    lo,
+		Hi:    hi,
+		Queue: int(n.inflight.Load()),
 	}
 	if n.cfg.Ckpt != nil {
 		snap := n.cfg.Ckpt.Snapshot()
@@ -372,7 +370,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req QueryRequest
+	var req serve.QueryRequest
 	if !n.decode(w, r, &req) {
 		return
 	}
@@ -380,6 +378,10 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		n.cfg.Entities, n.cfg.Relations, n.cfg.Graph)
 	if err != nil {
 		fail(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if req.Mode != "" && req.Mode != "exact" {
+		fail(w, http.StatusBadRequest, "unknown mode %q (want \"exact\")", req.Mode)
 		return
 	}
 	k := req.K
@@ -410,21 +412,24 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lo, hi := n.cfg.Engine.EntityRange()
-	answers := make([]QueryAnswer, len(res.IDs))
+	answers := make([]serve.Answer, len(res.IDs))
 	for i, e := range res.IDs {
 		dist := res.Dists[i]
-		answers[i] = QueryAnswer{ID: e, Entity: n.cfg.Entities.Name(int32(e)), Distance: &dist}
+		answers[i] = serve.Answer{ID: e, Entity: n.cfg.Entities.Name(int32(e)), Distance: &dist}
 	}
-	serve.WriteJSON(w, http.StatusOK, &QueryResponse{
-		Query:     root.String(),
-		Canonical: query.CanonicalKey(root),
-		Mode:      "exact",
-		K:         k,
-		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
-		Partial:   res.Partial,
-		Lo:        lo,
-		Hi:        hi,
-		Version:   res.Version,
-		Answers:   answers,
+	serve.WriteJSON(w, http.StatusOK, &RangeQueryResponse{
+		QueryResponse: serve.QueryResponse{
+			Query:     root.String(),
+			Canonical: query.CanonicalKey(root),
+			Structure: req.Structure,
+			Mode:      "exact",
+			K:         k,
+			ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
+			Partial:   res.Partial,
+			Answers:   answers,
+		},
+		Lo:      lo,
+		Hi:      hi,
+		Version: res.Version,
 	})
 }

@@ -21,19 +21,19 @@
 // in-process engine over the same checkpoint.
 package cluster
 
-import "github.com/halk-kg/halk/internal/kg"
+import (
+	"github.com/halk-kg/halk/internal/halk"
+	"github.com/halk-kg/halk/internal/kg"
+	"github.com/halk-kg/halk/internal/serve"
+)
 
 // ArcSpec is one DNF-disjunct arc of an embedded query on the wire: the
 // per-dimension center angles and arclengths of Eq. 4/10 plus the group
-// multi-hot vector of Eq. 17. The router ships raw angles rather than
-// prepared trig tables — ~6× smaller, and encoding/json round-trips
-// float64 exactly, so node-side shard.PrepareArc reproduces the
-// router-side preparation bit for bit.
-type ArcSpec struct {
-	C   []float64 `json:"c"`
-	L   []float64 `json:"l"`
-	Hot []float64 `json:"hot,omitempty"`
-}
+// multi-hot vector of Eq. 17, sent as {"c", "l", "hot"}. The router
+// ships raw angles rather than prepared trig tables — ~6× smaller, and
+// encoding/json round-trips float64 exactly, so node-side
+// shard.PrepareArc reproduces the router-side preparation bit for bit.
+type ArcSpec = halk.ValueArc
 
 // ScanRequest is the POST /v1/scan body: score the hosted entity range
 // against the arcs and return the local top K.
@@ -77,10 +77,10 @@ type ScanResponse struct {
 	Queue int `json:"queue_depth,omitempty"`
 }
 
-// Health is the /v1/healthz readiness report of a shard node. The field
-// names match halk-serve's report, so one prober reads both; Lo/Hi are
-// node-only. The router polls it for node discovery, liveness, and
-// checkpoint-rollout version skew.
+// Health is the /v1/healthz readiness report of a shard node:
+// halk-serve's report plus the hosted range [Lo, Hi) and the queue
+// depth, so one prober reads both. The router polls it for node
+// discovery, liveness, and checkpoint-rollout version skew.
 //
 // Status is "ok" while serving and "draining" once the node has begun a
 // coordinated shutdown (POST /v1/drain or SIGTERM): a draining node
@@ -89,16 +89,9 @@ type ScanResponse struct {
 // /v1/scan, so the router can finish in-flight work and route new
 // gathers elsewhere before the process exits.
 type Health struct {
-	Status        string `json:"status"`
-	Model         string `json:"model,omitempty"`
-	Entities      int    `json:"entities"`
-	EntityVersion uint64 `json:"entity_version"`
-	Shards        int    `json:"shards,omitempty"`
-	Lo            int    `json:"lo"`
-	Hi            int    `json:"hi"`
-	CkptLoaded    bool   `json:"ckpt_loaded"`
-	CkptStep      int    `json:"ckpt_step,omitempty"`
-	CkptPath      string `json:"ckpt_path,omitempty"`
+	serve.Health
+	Lo int `json:"lo"`
+	Hi int `json:"hi"`
 	// Queue is the node's concurrent-scan depth at report time; the
 	// router's queue-depth-weighted balancing reads it between scans.
 	Queue int `json:"queue_depth,omitempty"`
@@ -107,42 +100,15 @@ type Health struct {
 // HealthDraining is the Health.Status of a node in coordinated drain.
 const HealthDraining = "draining"
 
-// QueryRequest is the POST /v1/query body understood by both halk-serve
-// and a shard node's debugging endpoint (the node answers over its
-// hosted range only, and supports the "query" and "sparql" forms).
-// halk-query -server posts this shape.
-type QueryRequest struct {
-	Query     string `json:"query,omitempty"`
-	SPARQL    string `json:"sparql,omitempty"`
-	Structure string `json:"structure,omitempty"`
-	Seed      int64  `json:"seed,omitempty"`
-	K         int    `json:"k,omitempty"`
-	Mode      string `json:"mode,omitempty"`
-	TimeoutMS int    `json:"timeout_ms,omitempty"`
-}
-
-// QueryAnswer is one ranked answer in a QueryResponse.
-type QueryAnswer struct {
-	ID       kg.EntityID `json:"id"`
-	Entity   string      `json:"entity"`
-	Distance *float64    `json:"distance,omitempty"`
-}
-
-// QueryResponse is the subset of the /v1/query reply shared by
-// halk-serve and shard nodes — what halk-query -server decodes. Lo/Hi
-// are set only by a node (its answers cover just the hosted range).
-type QueryResponse struct {
-	Query     string        `json:"query"`
-	Canonical string        `json:"canonical,omitempty"`
-	Mode      string        `json:"mode,omitempty"`
-	K         int           `json:"k"`
-	Cached    bool          `json:"cached,omitempty"`
-	ElapsedMs float64       `json:"elapsed_ms,omitempty"`
-	Partial   bool          `json:"partial,omitempty"`
-	Lo        int           `json:"lo,omitempty"`
-	Hi        int           `json:"hi,omitempty"`
-	Version   uint64        `json:"version,omitempty"`
-	Answers   []QueryAnswer `json:"answers"`
+// RangeQueryResponse is a shard node's /v1/query reply: halk-serve's
+// reply plus the hosted range [Lo, Hi) the answers cover and the
+// snapshot version they were scored on. halk-query -server decodes it
+// from either server; halk-serve leaves the three fields zero.
+type RangeQueryResponse struct {
+	serve.QueryResponse
+	Lo      int    `json:"lo,omitempty"`
+	Hi      int    `json:"hi,omitempty"`
+	Version uint64 `json:"version,omitempty"`
 }
 
 // Partition splits ents entities into nodes contiguous ranges and

@@ -53,7 +53,8 @@ func newReplicaRouter(t *testing.T, m *halk.Model, nodes [][]*testNode, mutate f
 	t.Helper()
 	cfg := Config{
 		Ranges:  rangesOf(nodes),
-		Embed:   embedFn(m),
+		Embed:   m.EmbedQuery,
+		Probe:   fixedProbe(m),
 		Metrics: obs.NewRegistry(),
 		Seed:    1,
 	}

@@ -60,11 +60,9 @@ type Config struct {
 	// Seed drives the power-of-two-choices sampling; 0 means
 	// time-seeded. Fix it in tests that need a reproducible pick order.
 	Seed int64
-	// Probe, when set, embeds the known probe query the identity probe
-	// scans against a joining/blamed replica and a current active
-	// replica (halk-serve wires a deterministically sampled query).
-	// When unset the probe falls back to the last gather's arcs; with
-	// neither available, probes admit on health alone.
+	// Probe embeds the known query the identity probe scans against a
+	// joining/blamed replica and a current active replica (halk-serve
+	// wires a deterministically sampled query). Required.
 	Probe func() []ArcSpec
 	// ProbeBase/ProbeMax bound the prober's full-jitter backoff between
 	// probe attempts; 0 means 250ms / 5s.
@@ -134,9 +132,9 @@ type Router struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// topoMu serialises membership changes (Join/Leave/SetTopology);
-	// topoVersion bumps on each. Gathers never take topoMu — they read
-	// copy-on-write replica snapshots.
+	// topoMu serialises membership changes (Join/Leave/SetTopology, all
+	// through edit); topoVersion bumps on each. Gathers never take
+	// topoMu — they read copy-on-write replica snapshots.
 	topoMu      sync.Mutex
 	topoVersion atomic.Uint64
 
@@ -144,10 +142,6 @@ type Router struct {
 	// draining so probers mid-backoff exit immediately.
 	probeCtx    context.Context
 	probeCancel context.CancelFunc
-
-	// lastSpecs is the most recent gather's embedded arcs — the
-	// identity probe's fallback probe query when Config.Probe is unset.
-	lastSpecs atomic.Pointer[[]ArcSpec]
 
 	// version is the quorum-agreed entity version — what SnapshotVersion
 	// reports, what gathers pin replica selection to, and what the serve
@@ -177,6 +171,9 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	if cfg.Embed == nil {
 		return nil, fmt.Errorf("cluster: Config.Embed is required")
+	}
+	if cfg.Probe == nil {
+		return nil, fmt.Errorf("cluster: Config.Probe is required")
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
@@ -532,10 +529,6 @@ func (rt *Router) RankTopK(ctx context.Context, n *query.Node, k int) (*shard.Re
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("cluster: query embedded to no arcs")
 	}
-	// Remember the arcs: the identity probe falls back to replaying the
-	// last real query when no probe query is configured.
-	rt.lastSpecs.Store(&specs)
-
 	// gb is the gather's shared pruning bound: the smallest k-th best
 	// distance any range has returned so far this query. Requests ship
 	// its current value so late scans (hedges, failover attempts) prune

@@ -158,10 +158,12 @@ func (m *net) prepareQuery(t *autodiff.Tape, n *query.Node) []shard.Arc {
 	return pre
 }
 
-// ValueArc is a plain-value arc embedding used for online answering.
+// ValueArc is a plain-value arc embedding used for online answering;
+// the cluster router ships it to shard nodes as JSON (cluster.ArcSpec).
 type ValueArc struct {
-	C, L []float64
-	Hot  []float64
+	C   []float64 `json:"c"`
+	L   []float64 `json:"l"`
+	Hot []float64 `json:"hot,omitempty"`
 }
 
 // distanceTo is the reference (slow) scoring path; the shard.Score

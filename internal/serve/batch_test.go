@@ -40,7 +40,7 @@ func postBatch(t *testing.T, ts *httptest.Server, req batchRequest) (batchRespon
 // query answered alone through /v1/query: same answers, same distances,
 // bit for bit (both paths serialise float64 distances through the same
 // JSON encoder, so string-equal JSON implies bit-equal values).
-func assertBatchSlotEqualsQuery(t *testing.T, label string, slot batchResult, lone queryResponse) {
+func assertBatchSlotEqualsQuery(t *testing.T, label string, slot batchResult, lone QueryResponse) {
 	t.Helper()
 	if slot.Canonical != lone.Canonical {
 		t.Fatalf("%s: canonical %q, lone query %q", label, slot.Canonical, lone.Canonical)
@@ -105,7 +105,7 @@ func TestBatchMatchesSingleQueries(t *testing.T) {
 		// The lone query below hits the cache entry the batch created —
 		// proof the two endpoints share one key namespace — and equals
 		// the batch slot.
-		lone, code := postQuery(t, ts, queryRequest{Structure: it.Structure, Seed: it.Seed, K: wantK[i]})
+		lone, code := postQuery(t, ts, QueryRequest{Structure: it.Structure, Seed: it.Seed, K: wantK[i]})
 		if code != http.StatusOK {
 			t.Fatalf("lone query %d: status %d", i, code)
 		}
@@ -154,7 +154,7 @@ func TestBatchFallbackWithoutBatchRanker(t *testing.T) {
 		if k == 0 {
 			k = 5
 		}
-		lone, code := postQuery(t, ts, queryRequest{Query: it.Query, K: k})
+		lone, code := postQuery(t, ts, QueryRequest{Query: it.Query, K: k})
 		if code != http.StatusOK {
 			t.Fatalf("lone query %d: status %d", i, code)
 		}
@@ -168,7 +168,7 @@ func TestBatchFallbackWithoutBatchRanker(t *testing.T) {
 func TestBatchMixedCacheHits(t *testing.T) {
 	_, _, ds, ts := newTestServer(t, nil)
 
-	warm := queryRequest{Query: dslFor(ds, 2, 8), K: 6}
+	warm := QueryRequest{Query: dslFor(ds, 2, 8), K: 6}
 	if _, code := postQuery(t, ts, warm); code != http.StatusOK {
 		t.Fatalf("warm query failed")
 	}
@@ -285,9 +285,9 @@ func TestOnePipelineAcrossRankers(t *testing.T) {
 			})
 			const k = 5
 			a, b, c := dslFor(ds, 1, 4), dslFor(ds, 3, 17), dslFor(ds, 2, 8)
-			one := func(q string) queryResponse {
+			one := func(q string) QueryResponse {
 				t.Helper()
-				qr, code := postQuery(t, ts, queryRequest{Query: q, K: k})
+				qr, code := postQuery(t, ts, QueryRequest{Query: q, K: k})
 				if code != http.StatusOK {
 					t.Fatalf("/v1/query: status %d", code)
 				}

@@ -56,7 +56,7 @@ func newChaosServer(t *testing.T, inj *resil.Injector, mutate func(*Config, *sha
 
 // postRaw posts the query and returns status, headers and decoded body
 // without failing on non-200s (chaos tests assert on error statuses).
-func postRaw(t *testing.T, ts *httptest.Server, req queryRequest) (int, http.Header, queryResponse) {
+func postRaw(t *testing.T, ts *httptest.Server, req QueryRequest) (int, http.Header, QueryResponse) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -67,7 +67,7 @@ func postRaw(t *testing.T, ts *httptest.Server, req queryRequest) (int, http.Hea
 		t.Fatalf("POST /v1/query: %v", err)
 	}
 	defer res.Body.Close()
-	var qr queryResponse
+	var qr QueryResponse
 	if res.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(res.Body).Decode(&qr); err != nil {
 			t.Fatalf("decode response: %v", err)
@@ -90,7 +90,7 @@ func checkHealthy(t *testing.T, ts *httptest.Server) {
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after fault = %d", res.StatusCode)
 	}
-	code, _, qr := postRaw(t, ts, queryRequest{Structure: "1p", Seed: 99, K: 3})
+	code, _, qr := postRaw(t, ts, QueryRequest{Structure: "1p", Seed: 99, K: 3})
 	if code != http.StatusOK || qr.Partial {
 		t.Fatalf("post-fault query = %d partial=%v; server did not recover", code, qr.Partial)
 	}
@@ -114,7 +114,7 @@ func TestChaosMatrix(t *testing.T) {
 			t.Run(kindName+"/"+scope, func(t *testing.T) {
 				inj := resil.NewInjector()
 				_, ts := newChaosServer(t, inj, nil)
-				req := queryRequest{Structure: "1p", Seed: 9, K: 5}
+				req := QueryRequest{Structure: "1p", Seed: 9, K: 5}
 
 				switch scope {
 				case "one-shard":
@@ -178,11 +178,11 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	})
 	inj.Set(FaultStageRank, 0, resil.Fault{Kind: resil.KindPanic, Count: 1})
 
-	code, _, _ := postRaw(t, ts, queryRequest{Structure: "1p", Seed: 9, K: 5})
+	code, _, _ := postRaw(t, ts, QueryRequest{Structure: "1p", Seed: 9, K: 5})
 	if code != http.StatusInternalServerError {
 		t.Fatalf("panicked ranking: status %d, want 500", code)
 	}
-	if code, _, _ := postRaw(t, ts, queryRequest{Structure: "1p", Seed: 10, K: 5, TimeoutMS: 2000}); code != http.StatusOK {
+	if code, _, _ := postRaw(t, ts, QueryRequest{Structure: "1p", Seed: 10, K: 5, TimeoutMS: 2000}); code != http.StatusOK {
 		t.Fatalf("request after the panic: status %d, want 200 within its deadline", code)
 	}
 
@@ -239,7 +239,7 @@ func (*blockingRanker) ShardStats() []shard.ShardStats { return nil }
 
 // postStatus posts the query and returns the response status; unlike
 // postRaw it may run off the test goroutine.
-func postStatus(ts *httptest.Server, req queryRequest) (int, error) {
+func postStatus(ts *httptest.Server, req QueryRequest) (int, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return 0, err
@@ -270,7 +270,7 @@ func TestRankingSlotsAndClose(t *testing.T) {
 	codes := make(chan int, 5)
 	for i := range 5 {
 		go func() {
-			code, err := postStatus(ts, queryRequest{Structure: "1p", Seed: int64(1 + i), K: 3})
+			code, err := postStatus(ts, QueryRequest{Structure: "1p", Seed: int64(1 + i), K: 3})
 			if err != nil {
 				t.Error(err)
 			}
@@ -298,7 +298,7 @@ func TestRankingSlotsAndClose(t *testing.T) {
 	// Close has begun once a later request is refused; until then a
 	// short-deadline request times out waiting for a slot.
 	for {
-		code, err := postStatus(ts, queryRequest{Structure: "1p", Seed: 100, K: 3, TimeoutMS: 500})
+		code, err := postStatus(ts, QueryRequest{Structure: "1p", Seed: 100, K: 3, TimeoutMS: 500})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestBreakerOpensAndRecoversEndToEnd(t *testing.T) {
 	// Two failing gathers trip shard 0's breaker. Distinct seeds defeat
 	// the answer cache (partials are never cached anyway, but be explicit).
 	for seed := int64(1); seed <= 2; seed++ {
-		code, _, qr := postRaw(t, ts, queryRequest{Structure: "1p", Seed: seed, K: 5})
+		code, _, qr := postRaw(t, ts, QueryRequest{Structure: "1p", Seed: seed, K: 5})
 		if code != http.StatusOK || !qr.Partial {
 			t.Fatalf("seed %d: status %d partial=%v, want 200 partial", seed, code, qr.Partial)
 		}
@@ -354,7 +354,7 @@ func TestBreakerOpensAndRecoversEndToEnd(t *testing.T) {
 
 	// Under the open breaker the shard is skipped without being called.
 	fired := inj.Fired(faultScanStage)
-	code, _, qr := postRaw(t, ts, queryRequest{Structure: "1p", Seed: 3, K: 5})
+	code, _, qr := postRaw(t, ts, QueryRequest{Structure: "1p", Seed: 3, K: 5})
 	if code != http.StatusOK || !qr.Partial {
 		t.Fatalf("open-breaker query = %d partial=%v", code, qr.Partial)
 	}
@@ -367,7 +367,7 @@ func TestBreakerOpensAndRecoversEndToEnd(t *testing.T) {
 	inj.Clear()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		code, _, qr = postRaw(t, ts, queryRequest{Structure: "1p", Seed: 4, K: 5})
+		code, _, qr = postRaw(t, ts, QueryRequest{Structure: "1p", Seed: 4, K: 5})
 		if code != http.StatusOK {
 			t.Fatalf("recovery query = %d", code)
 		}
@@ -398,7 +398,7 @@ func TestOpenBreakerResponsesNeverCached(t *testing.T) {
 		}
 	})
 	inj.Set(faultScanStage, 0, resil.Fault{Kind: resil.KindError})
-	req := queryRequest{Structure: "1p", Seed: 9, K: 5}
+	req := QueryRequest{Structure: "1p", Seed: 9, K: 5}
 
 	// Trip the breaker, then issue the same query twice under the open
 	// breaker: the degraded answer must be recomputed, never cached.
@@ -425,7 +425,7 @@ func TestOpenBreakerResponsesNeverCached(t *testing.T) {
 	// degraded list) and only then becomes cacheable.
 	inj.Clear()
 	deadline := time.Now().Add(2 * time.Second)
-	var qr queryResponse
+	var qr QueryResponse
 	for {
 		_, _, qr = postRaw(t, ts, req)
 		if !qr.Partial {
@@ -461,19 +461,19 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	// EWMA, the second occupies the only worker.
 	inj.Set(faultScanStage, resil.AnyShard, resil.Fault{Kind: resil.KindDelay, Delay: 150 * time.Millisecond})
 
-	if code, _, _ := postRaw(t, ts, queryRequest{Structure: "1p", Seed: 1, K: 3}); code != http.StatusOK {
+	if code, _, _ := postRaw(t, ts, QueryRequest{Structure: "1p", Seed: 1, K: 3}); code != http.StatusOK {
 		t.Fatalf("priming request: status %d", code)
 	}
 
 	occupied := make(chan int, 1)
 	go func() {
-		code, _, _ := postRaw(t, ts, queryRequest{Structure: "1p", Seed: 2, K: 3})
+		code, _, _ := postRaw(t, ts, QueryRequest{Structure: "1p", Seed: 2, K: 3})
 		occupied <- code
 	}()
 	time.Sleep(50 * time.Millisecond) // the worker is now mid-rank
 
 	start := time.Now()
-	code, hdr, _ := postRaw(t, ts, queryRequest{Structure: "1p", Seed: 3, K: 3})
+	code, hdr, _ := postRaw(t, ts, QueryRequest{Structure: "1p", Seed: 3, K: 3})
 	shedLatency := time.Since(start)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("overloaded request: status %d, want 429", code)
@@ -525,7 +525,7 @@ func TestServerCloseDrainsHedgedScans(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 
 	qStart := time.Now()
-	code, _, qr := postRaw(t, ts, queryRequest{Structure: "1p", Seed: 9, K: 5})
+	code, _, qr := postRaw(t, ts, QueryRequest{Structure: "1p", Seed: 9, K: 5})
 	if code != http.StatusOK || qr.Partial {
 		t.Fatalf("hedged query = %d partial=%v", code, qr.Partial)
 	}

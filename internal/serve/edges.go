@@ -59,7 +59,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	}()
 	fail := func(code int, format string, args ...any) {
 		status = code
-		WriteJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
+		WriteJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 	}
 
 	if r.Method != http.MethodPost {

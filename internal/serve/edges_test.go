@@ -178,7 +178,7 @@ func TestBodySizeLimit(t *testing.T) {
 	}
 
 	// An in-limit request on the same server still succeeds.
-	if _, code := postQuery(t, ts, queryRequest{Query: dslFor(ds, 0, 0), K: 3}); code != http.StatusOK {
+	if _, code := postQuery(t, ts, QueryRequest{Query: dslFor(ds, 0, 0), K: 3}); code != http.StatusOK {
 		t.Fatalf("in-limit query status = %d, want 200", code)
 	}
 }
@@ -189,7 +189,7 @@ func TestBodySizeLimit(t *testing.T) {
 // table and only then becomes cacheable under the new version.
 func TestCacheNeverServedAcrossBump(t *testing.T) {
 	_, m, ds, ts := newTestServer(t, nil)
-	req := queryRequest{Query: dslFor(ds, 3, 12), K: 5}
+	req := QueryRequest{Query: dslFor(ds, 3, 12), K: 5}
 
 	if qr, code := postQuery(t, ts, req); code != http.StatusOK || qr.Cached {
 		t.Fatalf("first query: code=%d cached=%v", code, qr.Cached)
@@ -253,7 +253,7 @@ func TestEdgesEndToEndDelta(t *testing.T) {
 	_, m, ds, ts, _ := newIngestServer(t, nil)
 	h, r, tail := nonEdgeSpec(t, ds)
 	name := func(e kg.EntityID) string { return ds.Train.Entities.Name(int32(e)) }
-	req := queryRequest{Query: dslFor(ds, r, h), K: 5}
+	req := QueryRequest{Query: dslFor(ds, r, h), K: 5}
 
 	// Warm the cache on the pre-update table.
 	if qr, code := postQuery(t, ts, req); code != http.StatusOK || qr.Cached {

@@ -16,9 +16,10 @@ import (
 	"github.com/halk-kg/halk/internal/sparql"
 )
 
-// queryRequest is the POST /v1/query body. Exactly one of SPARQL, Query
-// (prefix DSL) or Structure must be set.
-type queryRequest struct {
+// QueryRequest is the POST /v1/query body of halk-serve and of a shard
+// node (cluster.Node), and what halk-query -server posts. Exactly one of
+// SPARQL, Query (prefix DSL) or Structure must be set.
+type QueryRequest struct {
 	// SPARQL is a SPARQL query compiled through the adaptor of Sec. IV-F.
 	SPARQL string `json:"sparql,omitempty"`
 	// Query is a query in the prefix DSL, e.g. "i(p[r003](e0007), p[r010](e0042))".
@@ -47,8 +48,9 @@ type Answer struct {
 	Distance *float64    `json:"distance,omitempty"`
 }
 
-// queryResponse is the POST /v1/query reply.
-type queryResponse struct {
+// QueryResponse is the POST /v1/query reply. A shard node answers the
+// same shape plus its hosted range (cluster.RangeQueryResponse).
+type QueryResponse struct {
 	Query     string  `json:"query"`
 	Canonical string  `json:"canonical"`
 	Structure string  `json:"structure,omitempty"`
@@ -76,7 +78,9 @@ type debugInfo struct {
 	TotalMs float64           `json:"total_ms"`
 }
 
-type errorResponse struct {
+// ErrorResponse is the JSON body of a refused or failed request, here
+// and on a shard node.
+type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
@@ -108,7 +112,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q := s.begin(w, r, "/v1/query", "query")
 	defer q.done()
-	var req queryRequest
+	var req QueryRequest
 	if !q.decode(&req) {
 		return
 	}
@@ -128,7 +132,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sl := &slots[0]
-	q.finish(&queryResponse{
+	q.finish(&QueryResponse{
 		Query:          sl.Query,
 		Canonical:      sl.Canonical,
 		Structure:      sl.Structure,
@@ -141,11 +145,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (resp *queryResponse) stamp(elapsedMs float64, debug *debugInfo) {
+func (resp *QueryResponse) stamp(elapsedMs float64, debug *debugInfo) {
 	resp.ElapsedMs, resp.Debug = elapsedMs, debug
 }
 
-func (resp *queryResponse) slowLine() string {
+func (resp *QueryResponse) slowLine() string {
 	return fmt.Sprintf("%s mode=%s k=%d partial=%v", resp.Canonical, resp.Mode, resp.K, resp.Partial)
 }
 
@@ -223,12 +227,13 @@ func compileForm(f QueryForm, entities, relations *kg.Dict, graph *kg.Graph) (*q
 	}
 }
 
-// healthzResponse is the GET /v1/healthz readiness report: enough for a
+// Health is the GET /v1/healthz readiness report: enough for a
 // load balancer (or the cluster router's node-discovery loop) to decide
 // whether this process can answer, and at which entity-table version.
-// The cluster scan nodes answer the same shape from their own handler,
-// so one prober serves both kinds of backend.
-type healthzResponse struct {
+// A shard node answers it embedded in cluster.Health, which adds the
+// hosted range and queue depth, so one prober serves both kinds of
+// backend.
+type Health struct {
 	Status   string `json:"status"`
 	Model    string `json:"model"`
 	Entities int    `json:"entities"`
@@ -247,7 +252,7 @@ type healthzResponse struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	resp := healthzResponse{
+	resp := Health{
 		Status:        "ok",
 		Model:         s.cfg.Model.Name(),
 		Entities:      s.cfg.Entities.Len(),

@@ -19,7 +19,7 @@ import (
 
 // postQueryURL posts to an arbitrary query URL (lets tests append
 // ?debug=trace).
-func postQueryURL(t *testing.T, url string, req queryRequest) (queryResponse, int) {
+func postQueryURL(t *testing.T, url string, req QueryRequest) (QueryResponse, int) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -30,7 +30,7 @@ func postQueryURL(t *testing.T, url string, req queryRequest) (queryResponse, in
 		t.Fatalf("POST %s: %v", url, err)
 	}
 	defer res.Body.Close()
-	var qr queryResponse
+	var qr QueryResponse
 	if res.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(res.Body).Decode(&qr); err != nil {
 			t.Fatalf("decode response: %v", err)
@@ -74,7 +74,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		cfg.Ranker = r
 	})
 
-	req := queryRequest{Structure: "2i", Seed: 7, K: 8}
+	req := QueryRequest{Structure: "2i", Seed: 7, K: 8}
 	postQuery(t, ts, req)
 	postQuery(t, ts, req) // cache hit
 
@@ -135,7 +135,7 @@ func waitForMetrics(t *testing.T, url string, wants []string) string {
 func TestDebugTraceStagesSumToTotal(t *testing.T) {
 	run := func(t *testing.T, mutate func(*Config), wantStage string) {
 		_, _, _, ts := newTestServer(t, mutate)
-		if _, code := postQuery(t, ts, queryRequest{Structure: "2i", Seed: 6, K: 8}); code != http.StatusOK {
+		if _, code := postQuery(t, ts, QueryRequest{Structure: "2i", Seed: 6, K: 8}); code != http.StatusOK {
 			t.Fatalf("warm-up: status %d", code)
 		}
 		bestGap, bestSum, bestTotal := math.Inf(1), 0.0, 0.0
@@ -143,7 +143,7 @@ func TestDebugTraceStagesSumToTotal(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			// Distinct seeds and k: every traced request misses the cache
 			// and ranks.
-			qr, code := postQueryURL(t, ts.URL+"/v1/query?debug=trace", queryRequest{Structure: "2i", Seed: int64(7 + i), K: 9 + i})
+			qr, code := postQueryURL(t, ts.URL+"/v1/query?debug=trace", QueryRequest{Structure: "2i", Seed: int64(7 + i), K: 9 + i})
 			if code != http.StatusOK {
 				t.Fatalf("status %d", code)
 			}
@@ -178,7 +178,7 @@ func TestDebugTraceStagesSumToTotal(t *testing.T) {
 			t.Errorf("closest of 5: stage sum %.4fms vs total %.4fms: outside 10%% (%+v)", bestSum, bestTotal, bestTrace)
 		}
 		// A plain query carries no debug payload.
-		plain, _ := postQuery(t, ts, queryRequest{Structure: "2i", Seed: 8, K: 8})
+		plain, _ := postQuery(t, ts, QueryRequest{Structure: "2i", Seed: 8, K: 8})
 		if plain.Debug != nil {
 			t.Error("debug section present without ?debug=trace")
 		}
@@ -221,7 +221,7 @@ func TestSlowQueryLog(t *testing.T) {
 		cfg.SlowQuery = time.Nanosecond // every query is "slow"
 		cfg.SlowLog = log.New(&sw, "", 0)
 	})
-	postQuery(t, ts, queryRequest{Structure: "1p", Seed: 3, K: 4})
+	postQuery(t, ts, QueryRequest{Structure: "1p", Seed: 3, K: 4})
 
 	// The log line lands after the response is written; wait for it.
 	var out string

@@ -42,7 +42,7 @@ func (q *request) done() {
 
 func (q *request) fail(code int, format string, args ...any) {
 	q.status = code
-	WriteJSON(q.w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
+	WriteJSON(q.w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 // decode checks the method and reads the JSON body into v, opening the

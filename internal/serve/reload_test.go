@@ -39,7 +39,7 @@ func TestCheckpointHotReloadEndToEnd(t *testing.T) {
 	status.SetLoaded("initial.ckpt", "FB237", 61, 100, m.EntityVersion())
 	status.Register(reg)
 
-	req := queryRequest{Structure: "2p", Seed: 5, K: 5}
+	req := QueryRequest{Structure: "2p", Seed: 5, K: 5}
 	first, code := postQuery(t, ts, req)
 	if code != http.StatusOK || first.Cached {
 		t.Fatalf("first query: code=%d cached=%v", code, first.Cached)

@@ -49,7 +49,7 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *halk.Model, *k
 	return s, m, ds, ts
 }
 
-func postQuery(t *testing.T, ts *httptest.Server, req queryRequest) (queryResponse, int) {
+func postQuery(t *testing.T, ts *httptest.Server, req QueryRequest) (QueryResponse, int) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -60,7 +60,7 @@ func postQuery(t *testing.T, ts *httptest.Server, req queryRequest) (queryRespon
 		t.Fatalf("POST /v1/query: %v", err)
 	}
 	defer res.Body.Close()
-	var qr queryResponse
+	var qr QueryResponse
 	if res.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(res.Body).Decode(&qr); err != nil {
 			t.Fatalf("decode response: %v", err)
@@ -106,7 +106,7 @@ func TestServedAnswersMatchModelTopK(t *testing.T) {
 	// query we sample locally.
 	root := sampleQuery(t, ds, "2i", 7)
 
-	qr, code := postQuery(t, ts, queryRequest{Structure: "2i", Seed: 7, K: 15})
+	qr, code := postQuery(t, ts, QueryRequest{Structure: "2i", Seed: 7, K: 15})
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -135,7 +135,7 @@ func TestServedAnswersMatchModelTopK(t *testing.T) {
 
 func TestRepeatQueryIsCacheHit(t *testing.T) {
 	_, _, ds, ts := newTestServer(t, nil)
-	req := queryRequest{Query: dslFor(ds, 3, 12), K: 5}
+	req := QueryRequest{Query: dslFor(ds, 3, 12), K: 5}
 
 	first, code := postQuery(t, ts, req)
 	if code != http.StatusOK {
@@ -174,11 +174,11 @@ func TestEquivalentPhrasingsShareCacheEntry(t *testing.T) {
 	a := dslFor(ds, 2, 9)
 	b := dslFor(ds, 5, 31)
 
-	first, code := postQuery(t, ts, queryRequest{Query: fmt.Sprintf("i(%s, %s)", a, b), K: 5})
+	first, code := postQuery(t, ts, QueryRequest{Query: fmt.Sprintf("i(%s, %s)", a, b), K: 5})
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	swapped, code := postQuery(t, ts, queryRequest{Query: fmt.Sprintf("i(%s, %s)", b, a), K: 5})
+	swapped, code := postQuery(t, ts, QueryRequest{Query: fmt.Sprintf("i(%s, %s)", b, a), K: 5})
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -198,13 +198,13 @@ func TestSPARQLAndStructureModes(t *testing.T) {
 	rel := ds.Train.Relations.Name(0)
 	ent := ds.Train.Entities.Name(7)
 	sparqlSrc := fmt.Sprintf("SELECT ?x WHERE { :%s :%s ?x }", ent, rel)
-	if qr, code := postQuery(t, ts, queryRequest{SPARQL: sparqlSrc, K: 3}); code != http.StatusOK {
+	if qr, code := postQuery(t, ts, QueryRequest{SPARQL: sparqlSrc, K: 3}); code != http.StatusOK {
 		t.Fatalf("sparql mode: status %d", code)
 	} else if len(qr.Answers) != 3 {
 		t.Fatalf("sparql mode: %d answers", len(qr.Answers))
 	}
 
-	if qr, code := postQuery(t, ts, queryRequest{Structure: "2p", Seed: 11, K: 4}); code != http.StatusOK {
+	if qr, code := postQuery(t, ts, QueryRequest{Structure: "2p", Seed: 11, K: 4}); code != http.StatusOK {
 		t.Fatalf("structure mode: status %d", code)
 	} else if qr.Structure != "2p" || len(qr.Answers) != 4 {
 		t.Fatalf("structure mode: structure=%q answers=%d", qr.Structure, len(qr.Answers))
@@ -213,7 +213,7 @@ func TestSPARQLAndStructureModes(t *testing.T) {
 
 func TestRequestValidation(t *testing.T) {
 	_, _, ds, ts := newTestServer(t, nil)
-	cases := []queryRequest{
+	cases := []QueryRequest{
 		{},                                     // no input form
 		{Query: "p[r?](nope)"},                 // unparseable DSL
 		{Query: dslFor(ds, 0, 1), SPARQL: "x"}, // two forms
@@ -242,16 +242,16 @@ func TestCompileBoundsDNF(t *testing.T) {
 		return "i(" + strings.Join(parts, ",") + ")"
 	}
 	begin := time.Now()
-	if _, code := postQuery(t, ts, queryRequest{Query: unions(16), K: 3}); code != http.StatusBadRequest {
+	if _, code := postQuery(t, ts, QueryRequest{Query: unions(16), K: 3}); code != http.StatusBadRequest {
 		t.Fatalf("16 unions under one intersection: status %d, want 400", code)
 	}
 	if d := time.Since(begin); d > 2*time.Second {
 		t.Errorf("refusing the 16-union body took %v", d)
 	}
-	if _, code := postQuery(t, ts, queryRequest{Query: unions(7), K: 3}); code != http.StatusBadRequest {
+	if _, code := postQuery(t, ts, QueryRequest{Query: unions(7), K: 3}); code != http.StatusBadRequest {
 		t.Errorf("128 disjuncts: status %d, want 400", code)
 	}
-	if _, code := postQuery(t, ts, queryRequest{Query: unions(6), K: 3}); code != http.StatusOK {
+	if _, code := postQuery(t, ts, QueryRequest{Query: unions(6), K: 3}); code != http.StatusOK {
 		t.Errorf("64 disjuncts, the bound: status %d, want 200", code)
 	}
 	for _, name := range query.StructureNames() {
@@ -297,7 +297,7 @@ func TestRequestTimeout(t *testing.T) {
 	_, _, ds, ts := newTestServer(t, func(c *Config) {
 		c.Model = slowModel{}
 	})
-	_, code := postQuery(t, ts, queryRequest{Query: dslFor(ds, 0, 1), TimeoutMS: 30})
+	_, code := postQuery(t, ts, QueryRequest{Query: dslFor(ds, 0, 1), TimeoutMS: 30})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", code)
 	}
@@ -315,7 +315,7 @@ func TestConcurrentServingDuringEntityUpdate(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				req := queryRequest{Structure: "2i", Seed: int64(100 + w*6 + i), K: 5}
+				req := QueryRequest{Structure: "2i", Seed: int64(100 + w*6 + i), K: 5}
 				if _, code := postQuery(t, ts, req); code != http.StatusOK {
 					t.Errorf("worker %d: status %d", w, code)
 					return
@@ -357,7 +357,7 @@ func TestCloseDrainsAndRefuses(t *testing.T) {
 
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	body, _ := json.Marshal(queryRequest{Query: dslFor(ds, 0, 1)})
+	body, _ := json.Marshal(QueryRequest{Query: dslFor(ds, 0, 1)})
 	res, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +387,7 @@ func TestConfigValidation(t *testing.T) {
 	// Structure mode without a graph must 400, not panic.
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	body, _ := json.Marshal(queryRequest{Structure: "1p"})
+	body, _ := json.Marshal(QueryRequest{Structure: "1p"})
 	res, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +401,7 @@ func TestConfigValidation(t *testing.T) {
 func TestStatsLatencyQuantilesPopulated(t *testing.T) {
 	_, _, ds, ts := newTestServer(t, nil)
 	for i := 0; i < 5; i++ {
-		postQuery(t, ts, queryRequest{Query: dslFor(ds, 1, kg.EntityID(i)), K: 3})
+		postQuery(t, ts, QueryRequest{Query: dslFor(ds, 1, kg.EntityID(i)), K: 3})
 	}
 	stats := getStats(t, ts)
 	q := stats.Endpoints["/v1/query"]

@@ -276,7 +276,7 @@ func Recover(name string, panics *obs.Counter, plog *log.Logger, h http.HandlerF
 				}
 				logger.Printf("serve: recovered panic in %s handler: %v\n%s", name, v, debug.Stack())
 				if !cw.committed {
-					WriteJSON(cw, http.StatusInternalServerError, errorResponse{Error: "internal server error"})
+					WriteJSON(cw, http.StatusInternalServerError, ErrorResponse{Error: "internal server error"})
 				}
 			}
 		}()

@@ -21,7 +21,7 @@ import (
 func TestStaleAnswersNotServedAfterEntityUpdate(t *testing.T) {
 	_, m, ds, ts := newTestServer(t, nil)
 	root := sampleQuery(t, ds, "1p", 9)
-	req := queryRequest{Structure: "1p", Seed: 9, K: 5}
+	req := QueryRequest{Structure: "1p", Seed: 9, K: 5}
 
 	first, code := postQuery(t, ts, req)
 	if code != http.StatusOK {
@@ -80,7 +80,7 @@ func TestShardedServingMatchesModel(t *testing.T) {
 	})
 	root := sampleQuery(t, ds, "2i", 7)
 
-	qr, code := postQuery(t, ts, queryRequest{Structure: "2i", Seed: 7, K: 12})
+	qr, code := postQuery(t, ts, QueryRequest{Structure: "2i", Seed: 7, K: 12})
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -101,7 +101,7 @@ func TestShardedServingMatchesModel(t *testing.T) {
 		}
 	}
 	// Repeat is a cache hit even on the sharded path.
-	again, _ := postQuery(t, ts, queryRequest{Structure: "2i", Seed: 7, K: 12})
+	again, _ := postQuery(t, ts, QueryRequest{Structure: "2i", Seed: 7, K: 12})
 	if !again.Cached {
 		t.Fatal("repeat sharded query should hit the cache")
 	}
@@ -160,7 +160,7 @@ func TestPartialResponseNotCached(t *testing.T) {
 	stub := &stubRanker{results: []*shard.Result{partial, full}}
 	_, _, _, ts := newTestServer(t, func(cfg *Config) { cfg.Ranker = stub })
 
-	req := queryRequest{Structure: "1p", Seed: 11, K: 2}
+	req := QueryRequest{Structure: "1p", Seed: 11, K: 2}
 	got, code := postQuery(t, ts, req)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -224,7 +224,7 @@ func TestDeadlinePartialEndToEnd(t *testing.T) {
 		cfg.Ranker = r
 	})
 
-	req := queryRequest{Structure: "1p", Seed: 5, K: 6}
+	req := QueryRequest{Structure: "1p", Seed: 5, K: 6}
 	for attempt := 1; attempt <= 2; attempt++ {
 		qr, code := postQuery(t, ts, req)
 		if code != http.StatusOK {

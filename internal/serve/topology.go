@@ -79,7 +79,7 @@ func (s *Server) handleTopologyJoin(w http.ResponseWriter, r *http.Request) {
 	}()
 	fail := func(code int, format string, args ...any) {
 		status = code
-		WriteJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
+		WriteJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 	}
 	tm := s.topologyManager()
 	if tm == nil {
@@ -127,7 +127,7 @@ func (s *Server) handleTopologyLeave(w http.ResponseWriter, r *http.Request) {
 	}()
 	fail := func(code int, format string, args ...any) {
 		status = code
-		WriteJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
+		WriteJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 	}
 	tm := s.topologyManager()
 	if tm == nil {

@@ -62,7 +62,7 @@ func (s *stubTopology) TopologyVersion() uint64 { return s.version }
 
 // postTopology posts a raw JSON body to a topology endpoint and decodes
 // whichever of the ack/error shapes came back.
-func postTopology(t *testing.T, ts *httptest.Server, path, body string) (topologyResponse, errorResponse, int) {
+func postTopology(t *testing.T, ts *httptest.Server, path, body string) (topologyResponse, ErrorResponse, int) {
 	t.Helper()
 	res, err := http.Post(ts.URL+path, "application/json", bytes.NewBufferString(body))
 	if err != nil {
@@ -70,7 +70,7 @@ func postTopology(t *testing.T, ts *httptest.Server, path, body string) (topolog
 	}
 	defer res.Body.Close()
 	var ack topologyResponse
-	var fail errorResponse
+	var fail ErrorResponse
 	if res.StatusCode < 400 {
 		if err := json.NewDecoder(res.Body).Decode(&ack); err != nil {
 			t.Fatalf("decode %s ack: %v", path, err)
