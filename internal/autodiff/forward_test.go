@@ -10,8 +10,10 @@ import (
 // every primitive produces the bits the gradient tape produces, leaves
 // alias instead of copying, nothing can be differentiated, and slabs
 // recycled by Reset never hand a live value out twice. CI's
-// kernel-identity job runs it across Go versions and GOAMD64 levels,
-// where FMA contraction could make two compilations of one loop differ.
+// kernel-identity job runs it across Go versions and GOAMD64 levels.
+// That matrix is amd64 only, whose compiler never fuses x*y + z into an
+// FMA, so it does not show the contraction that the arm64 compiler
+// applies to these loops.
 
 // forwardTapeCases is one entry per primitive of ops.go, batch.go and
 // special.go (plus Tensor leaves and a 2-layer MLP). a and b are

@@ -19,9 +19,11 @@ import (
 // negation and difference), the blocked float32-filtered kernel and the
 // batched rank path must return bit-identical distances and identical
 // IDs to the scalar float64 reference scan (Options.ScalarKernel) and
-// to the single-threaded full scan Model.TopK. Any FMA contraction,
-// rounding-mode, or vector-width divergence that changed an answer
-// would trip the Float64bits comparisons here.
+// to the single-threaded full scan Model.TopK. A divergence between
+// the kernels that changed an answer would trip the Float64bits
+// comparisons here. CI runs the suite on amd64 only, whose compiler
+// never contracts x*y + z into an FMA, so the matrix does not show the
+// contraction other architectures apply.
 
 // identityEntities sizes the suite's table: four shards of 1024 rows,
 // the shard engine's crossover below which a shard scans with the

@@ -3,6 +3,7 @@ package kg
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Dataset bundles the splits of the standard logical-query evaluation
@@ -58,9 +59,9 @@ func Split(name string, full *Graph, validFrac, testFrac float64, rng *rand.Rand
 	nValid := int(validFrac * float64(len(triples)))
 	nTest := int(testFrac * float64(len(triples)))
 
-	train := NewGraph(full.Entities, full.Relations)
-	test := NewGraph(full.Entities, full.Relations)
-	var validOnly, testOnly []Triple
+	trainOnly := make([]Triple, 0, len(triples))
+	validOnly := make([]Triple, 0, nValid)
+	testOnly := make([]Triple, 0, nTest)
 	// Pass 1: tentatively assign; protect heads from losing all out-edges.
 	outCount := make(map[[2]int32]int) // (head, rel) -> remaining train count
 	for _, t := range triples {
@@ -77,15 +78,14 @@ func Split(name string, full *Graph, validFrac, testFrac float64, rng *rand.Rand
 			validOnly = append(validOnly, t)
 			outCount[key]--
 		default:
-			train.AddTriple(t)
-			test.AddTriple(t)
+			trainOnly = append(trainOnly, t)
 		}
 	}
-	for _, t := range validOnly {
-		test.AddTriple(t)
+	test := slices.Concat(trainOnly, validOnly, testOnly)
+	return &Dataset{
+		Name:       name,
+		Train:      NewGraphFrom(full.Entities, full.Relations, trainOnly),
+		ValidEdges: validOnly,
+		Test:       NewGraphFrom(full.Entities, full.Relations, test),
 	}
-	for _, t := range testOnly {
-		test.AddTriple(t)
-	}
-	return &Dataset{Name: name, Train: train, ValidEdges: validOnly, Test: test}
 }

@@ -27,7 +27,7 @@ func WriteTSV(w io.Writer, g *Graph, extra ...Triple) error {
 // names in the given dictionaries (which may be shared with other
 // graphs). Blank lines and lines starting with '#' are skipped.
 func ReadTSV(r io.Reader, entities, relations *Dict) (*Graph, error) {
-	g := NewGraph(entities, relations)
+	var ts []Triple
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
@@ -44,10 +44,10 @@ func ReadTSV(r io.Reader, entities, relations *Dict) (*Graph, error) {
 		h := entities.Add(parts[0])
 		rel := relations.Add(parts[1])
 		t := entities.Add(parts[2])
-		g.AddTriple(Triple{H: EntityID(h), R: RelationID(rel), T: EntityID(t)})
+		ts = append(ts, Triple{H: EntityID(h), R: RelationID(rel), T: EntityID(t)})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("kg: read tsv: %w", err)
 	}
-	return g, nil
+	return NewGraphFrom(entities, relations, ts), nil
 }

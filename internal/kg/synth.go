@@ -94,7 +94,7 @@ func Synth(cfg SynthConfig) *Dataset {
 		return byType[ty][lo]
 	}
 
-	full := NewGraph(entities, relations)
+	var facts []Triple
 
 	type relSig struct {
 		id       RelationID
@@ -138,14 +138,15 @@ func Synth(cfg SynthConfig) *Dataset {
 				if t == h {
 					continue
 				}
-				full.AddTriple(Triple{H: h, R: sig.id, T: t})
+				facts = append(facts, Triple{H: h, R: sig.id, T: t})
 				if sig.inverse >= 0 {
-					full.AddTriple(Triple{H: t, R: sig.inverse, T: h})
+					facts = append(facts, Triple{H: t, R: sig.inverse, T: h})
 				}
 			}
 		}
 	}
 
+	full := NewGraphFrom(entities, relations, facts)
 	return Split(cfg.Name, full, cfg.ValidFrac, cfg.TestFrac, rng)
 }
 

@@ -22,16 +22,17 @@ type Sampler struct {
 // NewSampler prepares a sampler over g using rng for all randomness.
 func NewSampler(g *kg.Graph, rng *rand.Rand) *Sampler {
 	s := &Sampler{G: g, rng: rng}
-	for e := kg.EntityID(0); int(e) < g.NumEntities(); e++ {
-		for r := 0; r < g.NumRelations(); r++ {
-			if len(g.Predecessors(e, kg.RelationID(r))) > 0 {
-				s.targetable = append(s.targetable, e)
-				break
-			}
-		}
-	}
+	isTail := make([]bool, g.NumEntities())
 	for r := 0; r < g.NumRelations(); r++ {
 		s.relations = append(s.relations, kg.RelationID(r))
+		for _, e := range g.TailsOf(kg.RelationID(r)) {
+			isTail[e] = true
+		}
+	}
+	for e, ok := range isTail {
+		if ok {
+			s.targetable = append(s.targetable, kg.EntityID(e))
+		}
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/halk-kg/halk/internal/kg"
@@ -56,6 +57,36 @@ func TestSampleAllStructuresNonEmpty(t *testing.T) {
 		}
 		if len(Answers(q, ds.Test)) == 0 {
 			t.Errorf("%s: sampled query has empty answers", name)
+		}
+	}
+}
+
+// TestSamplerTargetableFromTails: the targets merged from the
+// relations' distinct-tail lists are, in order, the entities that one
+// Predecessors lookup per (entity, relation) finds an incoming edge
+// for, so sampling draws the same targets either way. The large case is
+// the serving benchmark's table (its synthDataset at 20k entities).
+func TestSamplerTargetableFromTails(t *testing.T) {
+	large := kg.Synth(kg.SynthConfig{
+		Name: "FB15k", NumEntities: 20000, NumRelations: 36, NumTypes: 8,
+		HeadFrac: 0.1, MeanFanout: 2.5, OneToManyFrac: 0.30, ManyFanout: 8,
+		InverseFrac: 0.8, ValidFrac: 0.08, TestFrac: 0.08, Seed: 1,
+	})
+	for name, ds := range map[string]*kg.Dataset{"SynthFB15k(1)": kg.SynthFB15k(1), "bench large": large} {
+		for part, g := range map[string]*kg.Graph{"Train": ds.Train, "Test": ds.Test} {
+			var want []kg.EntityID
+			for e := kg.EntityID(0); int(e) < g.NumEntities(); e++ {
+				for r := 0; r < g.NumRelations(); r++ {
+					if len(g.Predecessors(e, kg.RelationID(r))) > 0 {
+						want = append(want, e)
+						break
+					}
+				}
+			}
+			got := NewSampler(g, rand.New(rand.NewSource(1))).targetable
+			if !slices.Equal(got, want) {
+				t.Errorf("%s %s: %d targetable entities, want %d (or order differs)", name, part, len(got), len(want))
+			}
 		}
 	}
 }
