@@ -11,8 +11,8 @@
 // one checkpoint, run halk-serve instead: it loads the model once and
 // answers the same three query forms over HTTP with caching and
 // per-request deadlines. With -server the checkpoint is skipped
-// entirely and the query is posted to a running halk-serve (or
-// halk-shard) process instead:
+// entirely and the query is posted to a running halk-serve process
+// instead:
 //
 //	halk-query -server localhost:8080 -structure pi -k 10
 package main
@@ -37,10 +37,9 @@ import (
 	"github.com/halk-kg/halk/internal/viz"
 )
 
-// queryServer posts the query to a running halk-serve or halk-shard
-// process as serve.QueryRequest, decodes the reply as
-// cluster.RangeQueryResponse (halk-serve leaves the range zero), and
-// prints the ranked answers. No checkpoint is loaded, so there is no
+// queryServer posts the query to a running halk-serve process as
+// serve.QueryRequest, decodes the serve.QueryResponse reply, and prints
+// the ranked answers. No checkpoint is loaded, so there is no
 // local ground truth to mark.
 func queryServer(server, sparqlSrc, dsl, structure string, seed int64, k int, timeout time.Duration) {
 	base := strings.TrimSuffix(server, "/")
@@ -59,7 +58,7 @@ func queryServer(server, sparqlSrc, dsl, structure string, seed int64, k int, ti
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout+2*time.Second)
 	defer cancel()
-	var resp cluster.RangeQueryResponse
+	var resp serve.QueryResponse
 	if err := cluster.DoJSON(ctx, cluster.NewHTTPClient(), http.MethodPost, base+"/v1/query", req, &resp); err != nil {
 		log.Fatal(err)
 	}
@@ -70,9 +69,6 @@ func queryServer(server, sparqlSrc, dsl, structure string, seed int64, k int, ti
 	note := ""
 	if resp.Partial {
 		note = " (partial: some shards did not answer)"
-	}
-	if resp.Hi > resp.Lo {
-		note += fmt.Sprintf(" (entities [%d, %d) only)", resp.Lo, resp.Hi)
 	}
 	fmt.Printf("%d answers from %s in %.1fms%s\n", len(resp.Answers), base, resp.ElapsedMs, note)
 	for rank, a := range resp.Answers {
@@ -96,7 +92,7 @@ func main() {
 		k         = flag.Int("k", 10, "number of answers to print")
 		vizDim    = flag.Int("viz", -1, "render this embedding dimension as an ASCII circle")
 		seed      = flag.Int64("qseed", 7, "sampling seed for -structure")
-		server    = flag.String("server", "", "query a running halk-serve or halk-shard at this address over HTTP instead of loading a checkpoint")
+		server    = flag.String("server", "", "query a running halk-serve at this address over HTTP instead of loading a checkpoint")
 		timeout   = flag.Duration("timeout", 10*time.Second, "request deadline for -server")
 	)
 	flag.Parse()

@@ -19,7 +19,6 @@
 // Endpoints:
 //
 //	POST /v1/scan    {"arcs": [...], "k": 10, "bound": 0.42} — local top-K
-//	POST /v1/query   debugging: answer a query over the hosted range only
 //	POST /v1/drain   begin coordinated drain: healthz flips to 503
 //	GET  /v1/healthz readiness: hosted range, entity version, checkpoint
 //	GET  /v1/stats   per-local-shard scan counters
@@ -131,10 +130,6 @@ func main() {
 		Metrics:        reg,
 		Ckpt:           status,
 		ModelName:      m.Name(),
-		Entities:       ds.Train.Entities,
-		Relations:      ds.Train.Relations,
-		Graph:          ds.Test,
-		Embed:          m.EmbedQuery,
 		DefaultTimeout: *timeout,
 		MaxK:           *maxK,
 	})

@@ -64,10 +64,6 @@ func startNode(t *testing.T, m *halk.Model, ds *kg.Dataset, lo, hi int, mutate f
 		Params:    m.ShardParams(),
 		Metrics:   reg,
 		ModelName: "FB237",
-		Entities:  ds.Train.Entities,
-		Relations: ds.Train.Relations,
-		Graph:     ds.Test,
-		Embed:     m.EmbedQuery,
 		Faults:    inj,
 		PanicLog:  log.New(io.Discard, "", 0),
 	}
@@ -276,11 +272,11 @@ func TestNodeScanRejectsShortHot(t *testing.T) {
 	}
 }
 
-// TestNodeBoundsInput: the node refuses a /v1/scan or /v1/query body
-// over its byte cap with 413 and a scan of more arcs than a served query
-// can embed to (serve.MaxDisjuncts) with 400, while a scan at the arc
-// cap answers; the cap holds four copies of the largest legal scan body
-// at the paper's d = 800.
+// TestNodeBoundsInput: the node refuses a /v1/scan body over its byte
+// cap with 413 and a scan of more arcs than a served query can embed to
+// (serve.MaxDisjuncts) with 400, while a scan at the arc cap answers;
+// the cap holds four copies of the largest legal scan body at the
+// paper's d = 800.
 func TestNodeBoundsInput(t *testing.T) {
 	m, ds := testModel(61)
 	tn := startNode(t, m, ds, 0, ds.Train.NumEntities(), nil)
@@ -307,15 +303,13 @@ func TestNodeBoundsInput(t *testing.T) {
 
 	limit := maxBodyBytes(m.ShardParams().Dim)
 	pad := strings.Repeat("x", int(limit))
-	for _, path := range []string{"/v1/scan", "/v1/query"} {
-		res, err := http.Post(tn.addr()+path, "application/json", strings.NewReader(`{"k":1,"pad":"`+pad+`"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Body.Close()
-		if res.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s with a %d-byte body: status %d, want 413", path, len(pad), res.StatusCode)
-		}
+	res, err := http.Post(tn.addr()+"/v1/scan", "application/json", strings.NewReader(`{"k":1,"pad":"`+pad+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("/v1/scan with a %d-byte body: status %d, want 413", len(pad), res.StatusCode)
 	}
 
 	const d = 800
@@ -358,17 +352,20 @@ func TestNodeHealthz(t *testing.T) {
 	}
 }
 
-// TestNodeRepliesExtendServe pins the wire shapes a node shares with
-// halk-serve: the same structure-sampled /v1/query and the same
-// GET /v1/healthz, sent to a halk-serve and to a node over the whole
-// table of one model, answer with every key halk-serve sends at the
-// same value (bar elapsed time), plus only the node's hosted range and
-// its version or queue depth. Both replies decode, with no unknown
-// field, through the types halk-query and the router's prober read. A
-// mode other than "exact" is the same 400 from both.
+// TestNodeRepliesExtendServe pins the wire shape a node shares with
+// halk-serve: GET /v1/healthz, sent to a halk-serve and to a node over
+// the whole table of one model, answers with every key halk-serve sends
+// at the same value, plus only the node's hosted range and queue depth.
+// Both replies decode, with no unknown field, through the type the
+// router's prober reads. Queries are halk-serve's alone: even with the
+// unused NodeConfig query fields set, a node answers POST /v1/query with
+// 404, while its scan, drain, health, stats and metrics endpoints route.
 func TestNodeRepliesExtendServe(t *testing.T) {
 	m, ds := testModel(61)
-	tn := startNode(t, m, ds, 0, ds.Train.NumEntities(), func(c *NodeConfig) { c.ModelName = m.Name() })
+	tn := startNode(t, m, ds, 0, ds.Train.NumEntities(), func(c *NodeConfig) {
+		c.ModelName = m.Name()
+		c.Entities, c.Relations, c.Graph, c.Embed = ds.Train.Entities, ds.Train.Relations, ds.Test, m.EmbedQuery
+	})
 	ranker, err := m.NewShardedRanker(shard.Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -390,9 +387,9 @@ func TestNodeRepliesExtendServe(t *testing.T) {
 		ranker.Close()
 	})
 
-	// get sends one request, expects status code, and returns the raw
-	// body and its keys.
-	get := func(url, body string, code int) ([]byte, map[string]json.RawMessage) {
+	// send makes one request (a POST when body is set) and returns the
+	// status and the raw body.
+	send := func(url, body string) (int, []byte) {
 		t.Helper()
 		var res *http.Response
 		var err error
@@ -406,61 +403,70 @@ func TestNodeRepliesExtendServe(t *testing.T) {
 		}
 		defer res.Body.Close()
 		raw, err := io.ReadAll(res.Body)
-		if err != nil || res.StatusCode != code {
-			t.Fatalf("%s: status %d, err %v, body %s", url, res.StatusCode, err, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.StatusCode, raw
+	}
+	// health fetches url's /v1/healthz, decodes it strictly into a
+	// Health, refusing a key Health has no field for, and returns its
+	// keys.
+	health := func(base string) map[string]json.RawMessage {
+		t.Helper()
+		code, raw := send(base+"/v1/healthz", "")
+		if code != http.StatusOK {
+			t.Fatalf("%s/v1/healthz: status %d, body %s", base, code, raw)
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(new(Health)); err != nil {
+			t.Fatalf("decoding %s into Health: %v", raw, err)
 		}
 		var keys map[string]json.RawMessage
 		if err := json.Unmarshal(raw, &keys); err != nil {
 			t.Fatal(err)
 		}
-		return raw, keys
+		return keys
 	}
-	// strict decodes raw into v, refusing a key v has no field for.
-	strict := func(raw []byte, v any) {
-		t.Helper()
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(v); err != nil {
-			t.Fatalf("decoding %s into %T: %v", raw, v, err)
+	serveKeys, nodeKeys := health(ts.URL), health(tn.addr())
+	for key, v := range serveKeys {
+		if nv, ok := nodeKeys[key]; !ok {
+			t.Errorf("node omits %q, which halk-serve sends", key)
+		} else if !bytes.Equal(nv, v) {
+			t.Errorf("%q is %s on the node, %s on halk-serve", key, nv, v)
 		}
 	}
-	// Keys only a node sends: must always, may when nonzero.
+	// A node must send lo and hi, and may send queue_depth (omitempty).
+	extra := []string{"lo", "hi", "queue_depth"}
+	for _, key := range extra[:2] {
+		if _, ok := nodeKeys[key]; !ok {
+			t.Errorf("node omits %q", key)
+		}
+	}
+	for key := range nodeKeys {
+		if _, shared := serveKeys[key]; !shared && !slices.Contains(extra, key) {
+			t.Errorf("node sends %q, want only halk-serve's keys plus %v", key, extra)
+		}
+	}
+
+	const q = `{"structure":"2i","seed":7,"k":6}`
+	if code, raw := send(ts.URL+"/v1/query", q); code != http.StatusOK {
+		t.Fatalf("halk-serve /v1/query: status %d, body %s", code, raw)
+	}
 	for _, tc := range []struct {
 		path, body string
 		code       int
-		must, may  []string
-		decode     func(raw []byte)
 	}{
-		{"/v1/query", `{"structure":"2i","seed":7,"k":6}`, http.StatusOK, []string{"hi", "version"}, []string{"lo"},
-			func(raw []byte) { strict(raw, new(RangeQueryResponse)) }},
-		{"/v1/healthz", "", http.StatusOK, []string{"lo", "hi"}, []string{"queue_depth"},
-			func(raw []byte) { strict(raw, new(Health)) }},
-		{"/v1/query", `{"structure":"1p","mode":"approx","k":3}`, http.StatusBadRequest, nil, nil,
-			func(raw []byte) { strict(raw, new(serve.ErrorResponse)) }},
+		{"/v1/query", q, http.StatusNotFound},
+		{"/v1/scan", "", http.StatusMethodNotAllowed},
+		{"/v1/drain", "", http.StatusMethodNotAllowed},
+		{"/v1/healthz", "", http.StatusOK},
+		{"/v1/stats", "", http.StatusOK},
+		{"/metrics", "", http.StatusOK},
 	} {
-		serveRaw, serveKeys := get(ts.URL+tc.path, tc.body, tc.code)
-		nodeRaw, nodeKeys := get(tn.addr()+tc.path, tc.body, tc.code)
-		for key, v := range serveKeys {
-			nv, ok := nodeKeys[key]
-			switch {
-			case !ok:
-				t.Errorf("%s: node omits %q, which halk-serve sends", tc.path, key)
-			case key != "elapsed_ms" && !bytes.Equal(nv, v):
-				t.Errorf("%s: %q is %s on the node, %s on halk-serve", tc.path, key, nv, v)
-			}
+		if code, raw := send(tn.addr()+tc.path, tc.body); code != tc.code {
+			t.Errorf("node %s: status %d, want %d; body %s", tc.path, code, tc.code, raw)
 		}
-		for _, key := range tc.must {
-			if _, ok := nodeKeys[key]; !ok {
-				t.Errorf("%s: node omits %q", tc.path, key)
-			}
-		}
-		for key := range nodeKeys {
-			if _, shared := serveKeys[key]; !shared && !slices.Contains(tc.must, key) && !slices.Contains(tc.may, key) {
-				t.Errorf("%s: node sends %q, want only halk-serve's keys plus %v and %v", tc.path, key, tc.must, tc.may)
-			}
-		}
-		tc.decode(serveRaw)
-		tc.decode(nodeRaw)
 	}
 }
 

@@ -46,17 +46,12 @@ type NodeConfig struct {
 	Ckpt *ckpt.Status
 	// ModelName labels health reports (e.g. "HaLk").
 	ModelName string
-	// Entities/Relations, when both set together with Embed, enable the
-	// debugging POST /v1/query endpoint (answers over the hosted range
-	// only — halk-query -server works against a lone node).
+	// Entities, Relations, Embed and Graph are unused: a node serves
+	// scans only. They are deleted with ROADMAP item 1(d).
 	Entities  *kg.Dict
 	Relations *kg.Dict
-	// Embed turns a compiled query into wire arcs for /v1/query.
-	Embed func(n *query.Node) []ArcSpec
-	// Graph, when set, enables /v1/query structure sampling (same seeded
-	// sampler as halk-serve, so node answers line up with router answers
-	// for the same structure+seed).
-	Graph *kg.Graph
+	Embed     func(n *query.Node) []ArcSpec
+	Graph     *kg.Graph
 	// DefaultTimeout bounds a scan when the request carries no
 	// timeout_ms; 0 means 10s. MaxK caps requested K; 0 means 1000.
 	DefaultTimeout time.Duration
@@ -105,12 +100,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Params.Dim <= 0 {
 		return nil, fmt.Errorf("cluster: NodeConfig.Params is required")
 	}
-	if (cfg.Entities != nil) != (cfg.Relations != nil) {
-		return nil, fmt.Errorf("cluster: Entities and Relations must be set together")
-	}
-	if cfg.Entities != nil && cfg.Embed == nil {
-		return nil, fmt.Errorf("cluster: Embed is required when the query endpoint is enabled")
-	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 10 * time.Second
 	}
@@ -145,9 +134,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.mux.HandleFunc("/v1/drain", wrap("/v1/drain", n.handleDrain))
 	n.mux.HandleFunc("/v1/stats", wrap("/v1/stats", n.handleStats))
 	n.mux.Handle("/metrics", n.reg.Handler())
-	if cfg.Entities != nil {
-		n.mux.HandleFunc("/v1/query", wrap("/v1/query", n.handleQuery))
-	}
 	return n, nil
 }
 
@@ -358,78 +344,4 @@ func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp["checkpoint"] = n.cfg.Ckpt.Snapshot()
 	}
 	serve.WriteJSON(w, http.StatusOK, resp)
-}
-
-// handleQuery is POST /v1/query, the node's debugging endpoint: compile
-// the query, embed it with the node's model, and answer over the hosted
-// range only. It exists so halk-query -server can point at a lone shard
-// node; topology-wide answers come from the router.
-func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if r.Method != http.MethodPost {
-		fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req serve.QueryRequest
-	if !n.decode(w, r, &req) {
-		return
-	}
-	root, err := serve.Compile(serve.QueryForm{SPARQL: req.SPARQL, Query: req.Query, Structure: req.Structure, Seed: req.Seed},
-		n.cfg.Entities, n.cfg.Relations, n.cfg.Graph)
-	if err != nil {
-		fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Mode != "" && req.Mode != "exact" {
-		fail(w, http.StatusBadRequest, "unknown mode %q (want \"exact\")", req.Mode)
-		return
-	}
-	k := req.K
-	if k <= 0 {
-		k = 10
-	}
-	if k > n.cfg.MaxK {
-		k = n.cfg.MaxK
-	}
-	specs := n.cfg.Embed(root)
-	if len(specs) == 0 {
-		fail(w, http.StatusBadRequest, "query embedded to no arcs")
-		return
-	}
-	arcs := make([]shard.Arc, len(specs))
-	for i, a := range specs {
-		arcs[i] = shard.PrepareArc(n.cfg.Params, a.C, a.L, a.Hot)
-	}
-	timeout := n.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	res, err := n.cfg.Engine.TopKBound(ctx, arcs, k, 0)
-	if err != nil {
-		fail(w, rankErrStatus(err), "%v", err)
-		return
-	}
-	lo, hi := n.cfg.Engine.EntityRange()
-	answers := make([]serve.Answer, len(res.IDs))
-	for i, e := range res.IDs {
-		dist := res.Dists[i]
-		answers[i] = serve.Answer{ID: e, Entity: n.cfg.Entities.Name(int32(e)), Distance: &dist}
-	}
-	serve.WriteJSON(w, http.StatusOK, &RangeQueryResponse{
-		QueryResponse: serve.QueryResponse{
-			Query:     root.String(),
-			Canonical: query.CanonicalKey(root),
-			Structure: req.Structure,
-			Mode:      "exact",
-			K:         k,
-			ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
-			Partial:   res.Partial,
-			Answers:   answers,
-		},
-		Lo:      lo,
-		Hi:      hi,
-		Version: res.Version,
-	})
 }

@@ -100,17 +100,6 @@ type Health struct {
 // HealthDraining is the Health.Status of a node in coordinated drain.
 const HealthDraining = "draining"
 
-// RangeQueryResponse is a shard node's /v1/query reply: halk-serve's
-// reply plus the hosted range [Lo, Hi) the answers cover and the
-// snapshot version they were scored on. halk-query -server decodes it
-// from either server; halk-serve leaves the three fields zero.
-type RangeQueryResponse struct {
-	serve.QueryResponse
-	Lo      int    `json:"lo,omitempty"`
-	Hi      int    `json:"hi,omitempty"`
-	Version uint64 `json:"version,omitempty"`
-}
-
 // Partition splits ents entities into nodes contiguous ranges and
 // returns node i's [lo, hi) — the remainder-first formula the
 // in-process engine uses for sub-sharding, so an n-node topology of

@@ -43,17 +43,18 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// Split partitions a full graph's triples into a Dataset using the given
-// fractions of edges held out for validation and test. The held-out
-// edges are chosen uniformly at random with rng, but an edge is only
-// eligible for holdout if removing it leaves its head with at least one
-// outgoing fact, which keeps the training graph connected enough to
-// sample queries from.
-func Split(name string, full *Graph, validFrac, testFrac float64, rng *rand.Rand) *Dataset {
+// Split partitions the distinct facts ts over the given dictionaries
+// into a Dataset using the given fractions of edges held out for
+// validation and test. The held-out edges are chosen uniformly at
+// random with rng, but an edge is only eligible for holdout if removing
+// it leaves its head with at least one outgoing fact, which keeps the
+// training graph connected enough to sample queries from. ts is not
+// modified.
+func Split(name string, entities, relations *Dict, ts []Triple, validFrac, testFrac float64, rng *rand.Rand) *Dataset {
 	if validFrac < 0 || testFrac < 0 || validFrac+testFrac >= 1 {
 		panic("kg: Split: fractions must be non-negative and sum to < 1")
 	}
-	triples := append([]Triple(nil), full.Triples()...)
+	triples := slices.Clone(ts)
 	rng.Shuffle(len(triples), func(i, j int) { triples[i], triples[j] = triples[j], triples[i] })
 
 	nValid := int(validFrac * float64(len(triples)))
@@ -84,8 +85,8 @@ func Split(name string, full *Graph, validFrac, testFrac float64, rng *rand.Rand
 	test := slices.Concat(trainOnly, validOnly, testOnly)
 	return &Dataset{
 		Name:       name,
-		Train:      NewGraphFrom(full.Entities, full.Relations, trainOnly),
+		Train:      NewGraphFrom(entities, relations, trainOnly),
 		ValidEdges: validOnly,
-		Test:       NewGraphFrom(full.Entities, full.Relations, test),
+		Test:       NewGraphFrom(entities, relations, test),
 	}
 }

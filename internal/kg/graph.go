@@ -132,6 +132,21 @@ func NewGraphFrom(entities, relations *Dict, ts []Triple) *Graph {
 		g.checkRange("NewGraphFrom", t)
 	}
 	nEnt, nRel := entities.Len(), relations.Len()
+	var order []int32
+	g.triples, order = distinct(ts, nEnt, nRel)
+	g.out = buildAdj(ts, order, nRel, func(t Triple) (EntityID, EntityID) { return t.H, t.T })
+	// (r, h, t) order sorted stably by t, then by r, is (r, t, h) order.
+	tmp, count := make([]int32, len(order)), make([]int32, max(nEnt, nRel)+1)
+	stableSortBy(tmp, order, ts, count[:nEnt+1], func(t Triple) int32 { return int32(t.T) })
+	stableSortBy(order, tmp, ts, count[:nRel+1], func(t Triple) int32 { return int32(t.R) })
+	g.in = buildAdj(ts, order, nRel, func(t Triple) (EntityID, EntityID) { return t.T, t.H })
+	return g
+}
+
+// distinct returns the distinct facts of ts, each at its first
+// occurrence and in ts's order, and their positions in ts in (r, h, t)
+// order. Entity and relation IDs must be below nEnt and nRel.
+func distinct(ts []Triple, nEnt, nRel int) (uniq []Triple, order []int32) {
 	a, b := make([]int32, len(ts)), make([]int32, len(ts))
 	for i := range a {
 		a[i] = int32(i)
@@ -143,26 +158,21 @@ func NewGraphFrom(entities, relations *Dict, ts []Triple) *Graph {
 	stableSortBy(a, b, ts, count[:nEnt+1], func(t Triple) int32 { return int32(t.H) })
 	stableSortBy(b, a, ts, count[:nRel+1], func(t Triple) int32 { return int32(t.R) })
 	keep := make([]bool, len(ts))
-	uniq := b[:0]
+	order = b[:0]
 	for _, i := range b {
-		if len(uniq) > 0 && ts[uniq[len(uniq)-1]] == ts[i] {
+		if len(order) > 0 && ts[order[len(order)-1]] == ts[i] {
 			continue
 		}
 		keep[i] = true
-		uniq = append(uniq, i)
+		order = append(order, i)
 	}
-	g.triples = make([]Triple, 0, len(uniq))
+	uniq = make([]Triple, 0, len(order))
 	for i, t := range ts {
 		if keep[i] {
-			g.triples = append(g.triples, t)
+			uniq = append(uniq, t)
 		}
 	}
-	g.out = buildAdj(ts, uniq, nRel, func(t Triple) (EntityID, EntityID) { return t.H, t.T })
-	// (r, h, t) order sorted stably by t, then by r, is (r, t, h) order.
-	stableSortBy(a[:len(uniq)], uniq, ts, count[:nEnt+1], func(t Triple) int32 { return int32(t.T) })
-	stableSortBy(uniq, a[:len(uniq)], ts, count[:nRel+1], func(t Triple) int32 { return int32(t.R) })
-	g.in = buildAdj(ts, uniq, nRel, func(t Triple) (EntityID, EntityID) { return t.T, t.H })
-	return g
+	return uniq, order
 }
 
 // stableSortBy writes the positions src into dst ordered by key(ts[i]),

@@ -146,8 +146,8 @@ func Synth(cfg SynthConfig) *Dataset {
 		}
 	}
 
-	full := NewGraphFrom(entities, relations, facts)
-	return Split(cfg.Name, full, cfg.ValidFrac, cfg.TestFrac, rng)
+	facts, _ = distinct(facts, entities.Len(), relations.Len())
+	return Split(cfg.Name, entities, relations, facts, cfg.ValidFrac, cfg.TestFrac, rng)
 }
 
 // SynthFB15k generates the FB15k stand-in: dense, many inverse-relation

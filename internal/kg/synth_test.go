@@ -247,7 +247,8 @@ func TestSplitPanicsOnBadFractions(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Split("x", tinyGraph(), 0.6, 0.6, rand.New(rand.NewSource(1)))
+	g := tinyGraph()
+	Split("x", g.Entities, g.Relations, g.Triples(), 0.6, 0.6, rand.New(rand.NewSource(1)))
 }
 
 func TestSynthConfigSweepInvariants(t *testing.T) {
@@ -282,4 +283,18 @@ func TestSynthPanicsOnBadConfig(t *testing.T) {
 		}
 	}()
 	Synth(SynthConfig{NumEntities: 0, NumRelations: 5, NumTypes: 2})
+}
+
+// BenchmarkSynthLarge generates the serving benchmark's large table:
+// the FB15k stand-in at 20 000 entities and head fraction 0.1.
+func BenchmarkSynthLarge(b *testing.B) {
+	cfg := SynthConfig{
+		Name: "FB15k", NumEntities: 20000, NumRelations: 36, NumTypes: 8,
+		HeadFrac: 0.1, MeanFanout: 2.5, OneToManyFrac: 0.30, ManyFanout: 8,
+		InverseFrac: 0.8, ValidFrac: 0.08, TestFrac: 0.08, Seed: 1,
+	}
+	b.ReportAllocs()
+	for range b.N {
+		Synth(cfg)
+	}
 }

@@ -97,7 +97,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// slot for every requested query.
 	slots := make([]batchResult, len(req.Queries))
 	for i, it := range req.Queries {
-		root, err := Compile(QueryForm{SPARQL: it.SPARQL, Query: it.Query, Structure: it.Structure, Seed: it.Seed},
+		root, err := compile(queryForm{SPARQL: it.SPARQL, Query: it.Query, Structure: it.Structure, Seed: it.Seed},
 			s.cfg.Entities, s.cfg.Relations, s.cfg.Graph)
 		if err != nil {
 			q.fail(http.StatusBadRequest, "queries[%d]: %v", i, err)

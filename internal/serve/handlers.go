@@ -16,9 +16,9 @@ import (
 	"github.com/halk-kg/halk/internal/sparql"
 )
 
-// QueryRequest is the POST /v1/query body of halk-serve and of a shard
-// node (cluster.Node), and what halk-query -server posts. Exactly one of
-// SPARQL, Query (prefix DSL) or Structure must be set.
+// QueryRequest is the POST /v1/query body of halk-serve, and what
+// halk-query -server posts. Exactly one of SPARQL, Query (prefix DSL)
+// or Structure must be set.
 type QueryRequest struct {
 	// SPARQL is a SPARQL query compiled through the adaptor of Sec. IV-F.
 	SPARQL string `json:"sparql,omitempty"`
@@ -48,8 +48,8 @@ type Answer struct {
 	Distance *float64    `json:"distance,omitempty"`
 }
 
-// QueryResponse is the POST /v1/query reply. A shard node answers the
-// same shape plus its hosted range (cluster.RangeQueryResponse).
+// QueryResponse is the POST /v1/query reply, and what halk-query
+// -server decodes.
 type QueryResponse struct {
 	Query     string  `json:"query"`
 	Canonical string  `json:"canonical"`
@@ -116,7 +116,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !q.decode(&req) {
 		return
 	}
-	root, err := Compile(QueryForm{SPARQL: req.SPARQL, Query: req.Query, Structure: req.Structure, Seed: req.Seed},
+	root, err := compile(queryForm{SPARQL: req.SPARQL, Query: req.Query, Structure: req.Structure, Seed: req.Seed},
 		s.cfg.Entities, s.cfg.Relations, s.cfg.Graph)
 	if err != nil {
 		q.fail(http.StatusBadRequest, "%v", err)
@@ -153,10 +153,10 @@ func (resp *QueryResponse) slowLine() string {
 	return fmt.Sprintf("%s mode=%s k=%d partial=%v", resp.Canonical, resp.Mode, resp.K, resp.Partial)
 }
 
-// QueryForm names a query in one of the three request forms; exactly
+// queryForm names a query in one of the three request forms; exactly
 // one of SPARQL, Query (prefix DSL) or Structure must be set. Seed
 // drives structure sampling and defaults to 1.
-type QueryForm struct {
+type queryForm struct {
 	SPARQL    string
 	Query     string
 	Structure string
@@ -172,23 +172,11 @@ type QueryForm struct {
 // more arcs than this.
 const MaxDisjuncts = 64
 
-// Compile turns the form into a query computation DAG against the
+// compile turns the form into a query computation DAG against the
 // serving dictionaries. graph may be nil, which disables the structure
 // form. A query whose DNF rewrite builds more than MaxDisjuncts
-// disjuncts at some node is refused. Exported for the cluster node
-// frontend, whose /v1/query accepts the same forms.
-func Compile(f QueryForm, entities, relations *kg.Dict, graph *kg.Graph) (*query.Node, error) {
-	root, err := compileForm(f, entities, relations, graph)
-	if err != nil {
-		return nil, err
-	}
-	if w := query.DNFWidth(root); w > MaxDisjuncts {
-		return nil, fmt.Errorf("query expands to more than %d disjuncts in its DNF rewrite", MaxDisjuncts)
-	}
-	return root, nil
-}
-
-func compileForm(f QueryForm, entities, relations *kg.Dict, graph *kg.Graph) (*query.Node, error) {
+// disjuncts at some node is refused.
+func compile(f queryForm, entities, relations *kg.Dict, graph *kg.Graph) (*query.Node, error) {
 	forms := 0
 	for _, set := range []bool{f.SPARQL != "", f.Query != "", f.Structure != ""} {
 		if set {
@@ -198,15 +186,16 @@ func compileForm(f QueryForm, entities, relations *kg.Dict, graph *kg.Graph) (*q
 	if forms != 1 {
 		return nil, fmt.Errorf("exactly one of \"sparql\", \"query\" or \"structure\" must be set")
 	}
+	var root *query.Node
+	var err error
 	switch {
 	case f.SPARQL != "":
-		pq, err := sparql.Parse(f.SPARQL)
-		if err != nil {
-			return nil, err
+		var pq *sparql.Query
+		if pq, err = sparql.Parse(f.SPARQL); err == nil {
+			root, err = (&sparql.Adaptor{Entities: entities, Relations: relations}).Compile(pq)
 		}
-		return (&sparql.Adaptor{Entities: entities, Relations: relations}).Compile(pq)
 	case f.Query != "":
-		return query.Parse(f.Query, entities, relations)
+		root, err = query.Parse(f.Query, entities, relations)
 	default:
 		if graph == nil {
 			return nil, fmt.Errorf("structure sampling is not enabled on this server")
@@ -218,13 +207,18 @@ func compileForm(f QueryForm, entities, relations *kg.Dict, graph *kg.Graph) (*q
 		if seed == 0 {
 			seed = 1
 		}
-		sampler := query.NewSampler(graph, rand.New(rand.NewSource(seed)))
-		root, ok := sampler.Sample(f.Structure)
-		if !ok {
+		var ok bool
+		if root, ok = query.NewSampler(graph, rand.New(rand.NewSource(seed))).Sample(f.Structure); !ok {
 			return nil, fmt.Errorf("could not sample a %q query from the serving graph", f.Structure)
 		}
-		return root, nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	if w := query.DNFWidth(root); w > MaxDisjuncts {
+		return nil, fmt.Errorf("query expands to more than %d disjuncts in its DNF rewrite", MaxDisjuncts)
+	}
+	return root, nil
 }
 
 // Health is the GET /v1/healthz readiness report: enough for a

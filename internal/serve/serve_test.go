@@ -256,7 +256,7 @@ func TestCompileBoundsDNF(t *testing.T) {
 	}
 	for _, name := range query.StructureNames() {
 		for seed := int64(1); seed <= 5; seed++ {
-			if _, err := Compile(QueryForm{Structure: name, Seed: seed}, ds.Train.Entities, ds.Train.Relations, ds.Test); err != nil {
+			if _, err := compile(queryForm{Structure: name, Seed: seed}, ds.Train.Entities, ds.Train.Relations, ds.Test); err != nil {
 				t.Errorf("structure %s seed %d: %v", name, seed, err)
 			}
 		}
